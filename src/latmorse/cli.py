@@ -1,9 +1,9 @@
 """Command-line front end: tables, certificates, and sweep CSVs.
 
 Exit status is 0 only when every sign decision requested was certified; an
-Indeterminate classification or a failed certificate exits 1, usage errors
-exit 2.  All floats are echoed at full precision unless --paper-digits asks
-for truncated table values.
+Indeterminate classification, a failed certificate or an unreachable
+tolerance exits 1, usage errors exit 2.  All floats are echoed at full
+precision unless --paper-digits asks for truncated table values.
 """
 
 from __future__ import annotations
@@ -19,18 +19,26 @@ import numpy as np
 from . import enumlat, latcat, modforms, morse, rootsys, symspace
 
 
-def parse_alpha(text: str) -> float:
-    """Literal ``pi`` or a decimal value."""
-    t = text.strip().lower()
-    if t == "pi":
-        return math.pi
+def _positive_finite(name: str, text: str) -> float:
     try:
-        value = float(t)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"alpha must be 'pi' or a decimal, got {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError("alpha must be positive")
+        raise argparse.ArgumentTypeError(f"{name} must be a decimal, got {text!r}")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"{name} must be positive and finite")
     return value
+
+
+def parse_alpha(text: str) -> float:
+    """Literal ``pi`` or a positive finite decimal."""
+    if text.strip().lower() == "pi":
+        return math.pi
+    return _positive_finite("alpha", text)
+
+
+def parse_tol(text: str) -> float:
+    """A positive finite error target."""
+    return _positive_finite("tol", text)
 
 
 def _fmt(x: float, digits: int | None) -> str:
@@ -73,7 +81,8 @@ def _spectrum_rows(report: morse.SpectrumReport, digits: int | None) -> list[lis
 
 def _print_spectrum(report: morse.SpectrumReport, digits: int | None) -> None:
     print(f"## {report.lattice} at alpha = {report.alpha!r}")
-    print(f"series terms: {report.terms}")
+    side = "" if report.side == "direct" else " (summed at the dual alpha pi^2/alpha)"
+    print(f"series terms: {report.terms}{side}")
     print(_markdown_table(
         ["lambda", "multiplicity", "mu", "error_radius", "sign"],
         _spectrum_rows(report, digits),
@@ -245,7 +254,8 @@ def cmd_sweep(args) -> int:
         args.start + i * (args.stop - args.start) / (args.steps - 1)
         for i in range(args.steps)
     ]
-    reports = morse.alpha_sweep(entry, alphas, tol=args.tol)
+    reports = morse.alpha_sweep(entry, alphas, tol=args.tol,
+                                max_terms=args.series_length or 4096)
     lines = ["alpha,lambda,mu,error_radius"]
     for report in reports:
         for line in report.lines:
@@ -329,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, lattice_arg=False):
         p.add_argument("--alpha", type=parse_alpha, default=math.pi,
                        help="Gaussian parameter; 'pi' or a decimal (default pi)")
-        p.add_argument("--tol", type=float, default=1e-10,
+        p.add_argument("--tol", type=parse_tol, default=1e-10,
                        help="target certified error radius per eigenvalue")
         p.add_argument("--format", choices=("markdown", "json"), default="markdown")
         p.add_argument("--series-length", type=int, default=None,
@@ -383,6 +393,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except morse.ToleranceUnreachable as exc:
+        print(f"tolerance unreachable: {exc}", file=sys.stderr)
+        return 1
     except (latcat.UnknownLattice, ValueError) as exc:
         # KeyError str() wraps the message in quotes; unwrap for the terminal
         message = exc.args[0] if exc.args else str(exc)

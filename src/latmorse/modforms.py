@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 DEFAULT_LENGTH = 64
 
 # relative inflation applied to every certified constant
@@ -268,16 +266,19 @@ def theta_even_unimodular(n: int, root_count, length: int = DEFAULT_LENGTH) -> Q
 def zeta_upper(s: int) -> float:
     """Certified upper bound on zeta(s) for integer s >= 2.
 
-    Partial sum over 10^6 terms plus the integral remainder
-    sum_{n > N} n^-s <= N^(1-s)/(s-1), everything inflated upward.
+    Euler-Maclaurin at N = 20, cut after the B_2 term:
+    zeta(s) <= sum_{n<N} n^-s + N^(1-s)/(s-1) + N^-s/2 + s N^(-s-1)/12.
+    Every derivative of f = x^-s keeps one sign (f''' < 0, f^(4) > 0), so the
+    remainder has the sign of the first omitted term,
+    -s(s+1)(s+2) N^(-s-3)/720 <= 0: the cut sum is an upper bound, within
+    1e-8 relative for every s >= 2.  The float evaluation is inflated upward.
     """
     if s < 2:
         raise ValueError("zeta_upper needs s >= 2")
-    N = 10**6
-    terms = np.arange(1, N + 1, dtype=float) ** (-float(s))
-    partial = float(np.sum(terms[::-1]))  # ascending magnitudes
-    remainder = N ** (1.0 - s) / (s - 1.0)
-    return (partial + remainder) * _UP
+    N = 20
+    partial = sum(float(n) ** -s for n in range(N - 1, 0, -1))  # ascending magnitudes
+    closing = N ** (1.0 - s) / (s - 1.0) + N ** (-float(s)) / 2.0 + s * N ** (-s - 1.0) / 12.0
+    return (partial + closing) * _UP
 
 
 def round_up_significant(x: float, digits: int) -> float:

@@ -39,6 +39,16 @@ CLASS_INDETERMINATE = "Indeterminate"
 
 _ROUNDOFF = 1e-13
 
+# unit roundoff of float64, and the relative error of the dual alpha' (see _Fold)
+_U = 2.0**-53
+_ARG_REL = 3 * _U
+
+# largest x = 2 alpha' m of the leading dual shell that the fold accepts: the
+# certified tails bottom out at modforms' exp floor e^-700 (just above the
+# float64 underflow at e^-708), and the leading weight e^-x must stay e^40
+# above it for the radius to resolve a sign
+_LEADING_X_MAX = 660.0
+
 
 class NotCritical(ValueError):
     pass
@@ -60,6 +70,91 @@ def truncate_decimal(x: float, digits: int) -> float:
     """Truncate toward zero to the given number of decimal places."""
     scale = 10**digits
     return math.trunc(x * scale) / scale
+
+
+# ---------------------------------------------------------------------------
+# modular duality: alpha < pi folds onto pi^2 / alpha
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Fold:
+    """The dual side alpha' = pi^2 / alpha of a request at alpha.
+
+    Every catalog lattice is unimodular, so Poisson summation gives
+    E_alpha(e^(tH/2) L) = const + s E_alpha'(e^(-tH/2) L) with
+    s = (pi/alpha)^(n/2): Hessian eigenvalues at alpha are s times those at
+    alpha', and the gradient pairing is -s times its dual.  For alpha < pi
+    the series at alpha' > pi converge fast (16 to 32 terms).
+
+    Error model, u = 2^-53.  ``dual`` = fl(fl(pi pi) / alpha) is within
+    _ARG_REL = 3u of pi^2 / alpha: math.pi is within 0.36u of pi, then two
+    roundings.  Partial sums take that into account through their envelopes;
+    the certified tails carry a 1e-9 inflation, above its effect on them
+    (2 alpha' M * 3u < 1e-11 at alpha' <= 330 and the 16 to 32 terms the
+    dual side takes, < 9e-10 even at the default max_terms = 4096).
+    ``scale`` = fl(fl(pi / alpha)^(n/2)) is within (0.75 n + 2)u of s: the
+    input error grows n/2-fold, plus one ulp of pow.  ``rel`` = (n + 8)u adds
+    the rounding of the product with s and of the few operations that scale
+    a radius back.
+    """
+
+    dual: float
+    scale: float
+    rel: float
+
+    def spectral(self, value, radius, magnitude, envelope):
+        """(value, radius) at alpha from their dual-side values.
+
+        ``magnitude`` bounds the dual |value| (its sum of absolute summands)
+        and carries the error of s; ``envelope`` bounds the change of the
+        dual value per unit relative change of alpha'.  Applied to a roundoff
+        part alone, it gives the part of the scaled radius that more terms
+        cannot reduce.
+        """
+        extra = self.rel * magnitude + _ARG_REL * envelope
+        return self.scale * value, self.scale * (1.0 + self.rel) * (radius + extra)
+
+    def certificate(self, root_term, remainder, terms):
+        """(root term, remainder) at alpha, rounded down and up respectively.
+
+        The dual root term alpha' e^(-2 alpha') P and the summands of the
+        remainder through m = ``terms`` move by at most (2 alpha' terms + 1)
+        times a relative change of alpha'; the certified tail carries a 1e-9
+        inflation, far above that.
+        """
+        slack = self.rel + _ARG_REL * (2.0 * self.dual * terms + 1.0)
+        return self.scale * root_term * (1.0 - slack), self.scale * remainder * (1.0 + slack)
+
+
+def _dual_side(entry: LatticeEntry, alpha: float) -> _Fold:
+    """Fold data for ``alpha``, on either side of pi."""
+    n = entry.dimension
+    return _Fold(
+        dual=math.pi * math.pi / alpha,
+        scale=(math.pi / alpha) ** (n // 2),
+        rel=(n + 8) * _U,
+    )
+
+
+def _fold(entry: LatticeEntry, alpha: float, error: type[Exception]) -> _Fold | None:
+    """Fold data below alpha = pi, None at and above it.
+
+    Raises ``error`` where the leading dual weight e^(-2 alpha' m) is too
+    close to float64 underflow to resolve a sign: below alpha of about 0.03
+    with roots, 0.06 without.
+    """
+    if alpha >= math.pi:
+        return None
+    fold = _dual_side(entry, alpha)
+    leading = next(m for m in range(1, entry.theta.length) if entry.theta.coeffs[m])
+    if 2.0 * fold.dual * leading > _LEADING_X_MAX:
+        raise error(
+            f"underflow: alpha = {alpha:g} folds to pi^2/alpha = {fold.dual:g}, where "
+            "the leading shell's weight is too close to float64 underflow for a "
+            "certified sign"
+        )
+    return fold
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +248,9 @@ class Certificate:
 
     root_term is the exact contribution of the norm-2 shell; remainder bounds
     everything else (exact partial sums for 2 <= m <= exact_terms, certified
-    coefficient-bound tail beyond).  Validity: root_term > remainder.
+    coefficient-bound tail beyond).  Validity: root_term > remainder.  Below
+    alpha = pi both are scaled back from pi^2 / alpha, and ``constants``
+    (which describe the side summed) gain ``dual_alpha`` and ``scale``.
     """
 
     lattice: str
@@ -180,8 +277,10 @@ def noncritical_certificate(
     The pairing is -alpha sum_m e^(-2 alpha m) <H, S_m> with S_m the shell
     second moment.  The m = 1 term is computed exactly; |<H, S_m>| for m >= 2
     is bounded by max|eig H| * 2m * a_m, summed exactly up to ``exact_terms``
-    and closed with the certified theta coefficient tail.  Raises
-    CertificateFails when the root term does not dominate.
+    and closed with the certified theta coefficient tail.  Below alpha = pi
+    the pairing is evaluated at pi^2 / alpha, where it is -1/s times the one
+    at alpha, and root term and remainder are scaled back by s (see _Fold).
+    Raises CertificateFails when the root term does not dominate.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -219,21 +318,32 @@ def noncritical_certificate(
     if root_pairing <= 0:
         raise CertificateFails("direction pairs to zero with the root-shell moment")
 
-    root_term = alpha * math.exp(-2.0 * alpha) * root_pairing
+    fold = _fold(entry, alpha, CertificateFails)
+    where = f"alpha = {alpha:g}"
+    if fold is not None:
+        where += f" (summed at pi^2/alpha = {fold.dual:g})"
+    at = alpha if fold is None else fold.dual
+
+    root_term = at * math.exp(-2.0 * at) * root_pairing
 
     # the tail bound needs its start past k/(2 alpha); extend the exact range
-    # rather than leak a precondition error for small alpha
+    # rather than leak a precondition error
     k_max = max(e for _, e in entry.coeff_bound().terms) + 1
-    exact_terms = max(exact_terms, math.ceil(k_max / (2.0 * alpha)))
-    if exact_terms > 4096:
-        raise CertificateFails(
-            f"alpha = {alpha:g} is too shallow for a certified remainder bound"
-        )
+    exact_terms = max(exact_terms, math.ceil(k_max / (2.0 * at)))
     a = entry.series_floats(exact_terms + 1)[0]
     m = np.arange(2, exact_terms + 1)
-    partial = float(np.sum(a[2:] * 2.0 * m * np.exp(-2.0 * alpha * m)))
-    tail = 2.0 * entry.coeff_bound().series_tail(exact_terms + 1, alpha, extra_exponent=1)
-    remainder = alpha * max_eig * (partial * (1.0 + _ROUNDOFF) + tail)
+    partial = float(np.sum(a[2:] * 2.0 * m * np.exp(-2.0 * at * m)))
+    tail = 2.0 * entry.coeff_bound().series_tail(exact_terms + 1, at, extra_exponent=1)
+    remainder = at * max_eig * (partial * (1.0 + _ROUNDOFF) + tail)
+    constants = {
+        "root_pairing": root_pairing,
+        "max_abs_eigenvalue": max_eig,
+        "partial_sum": partial,
+        "tail": tail,
+    }
+    if fold is not None:
+        root_term, remainder = fold.certificate(root_term, remainder, exact_terms)
+        constants.update(dual_alpha=fold.dual, scale=fold.scale)
 
     cert = Certificate(
         lattice=entry.name,
@@ -242,17 +352,12 @@ def noncritical_certificate(
         root_term=root_term,
         remainder=remainder,
         exact_terms=exact_terms,
-        constants={
-            "root_pairing": root_pairing,
-            "max_abs_eigenvalue": max_eig,
-            "partial_sum": partial,
-            "tail": tail,
-        },
+        constants=constants,
     )
     if not root_term > remainder:
         raise CertificateFails(
             f"root term {root_term:.6g} does not dominate remainder {remainder:.6g} "
-            f"at alpha = {alpha:g}"
+            f"at {where}"
         )
     return cert
 
@@ -282,6 +387,9 @@ class SpectralLine:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
+    """Certified spectrum at ``alpha``; ``side`` says where the series were
+    summed: "direct" at alpha, or "dual" at pi^2 / alpha (alpha < pi)."""
+
     lattice: str
     alpha: float
     terms: int
@@ -289,6 +397,7 @@ class SpectrumReport:
     classification: str
     morse_index: int | None
     margin: float
+    side: str = "direct"
 
     def to_json_dict(self) -> dict:
         def f(x: float) -> float:
@@ -311,6 +420,7 @@ class SpectrumReport:
                 }
                 for line in self.lines
             ],
+            "side": self.side,
         }
 
 
@@ -352,6 +462,30 @@ def _min_terms(n: int, alpha: float) -> int:
     return max(16, math.ceil((n / 2 + 1) / (2.0 * alpha)))
 
 
+def _series_terms(n: int, a, b, alpha: float, terms: int):
+    """Summands m = 1..terms of Sa and Sb at alpha, from the float theta and
+    cusp coefficients a, b of a dimension-n lattice."""
+    x = 2.0 * alpha * np.arange(1, terms + 1, dtype=float)
+    w = np.exp(-x)
+    sa_terms = a[1 : terms + 1] * x * (x - (n / 2 + 1)) * w
+    sb_terms = b[1 : terms + 1] * (alpha * alpha / 2.0) * w
+    return sa_terms, sb_terms
+
+
+def _envelopes(n: int, a, b, alpha: float, terms: int) -> tuple[float, float]:
+    """Bounds on |d Sa / d log alpha| and |d Sb / d log alpha| over m <= terms.
+
+    With x = 2 alpha m and c = n/2 + 1, |x d/dx [x (x - c) e^-x]| <=
+    (x + 2) x (x + c) e^-x and |alpha d/d alpha [alpha^2 e^-x]| <=
+    (x + 2) alpha^2 e^-x.
+    """
+    x = 2.0 * alpha * np.arange(1, terms + 1, dtype=float)
+    w = (x + 2.0) * np.exp(-x)
+    ea = float(np.sum(np.abs(a[1 : terms + 1]) * x * (x + (n / 2 + 1)) * w))
+    eb = float(np.sum(np.abs(b[1 : terms + 1]) * (alpha * alpha / 2.0) * w))
+    return ea, eb
+
+
 def hessian_spectrum(
     entry: LatticeEntry,
     alpha: float,
@@ -361,10 +495,14 @@ def hessian_spectrum(
     """Certified traceless Hessian spectrum of a critical lattice at alpha.
 
     Eigenvalues come out as mu(lambda) = (Sa + (lambda n(n+2) - 8 a_1) Sb)
-    / (n(n+2)) with Sa, Sb series over theta and cusp coefficients.  The
-    series are summed to M terms, M doubling from a precondition-respecting
-    start until every error radius (certified tail plus roundoff allowance)
-    is within tol; raises ToleranceUnreachable past ``max_terms``.
+    / (n(n+2)) with Sa, Sb series over theta and cusp coefficients.  Below
+    alpha = pi the series are summed at pi^2 / alpha and scaled back by
+    (pi/alpha)^(n/2) (``side`` = "dual", see _Fold).  The series are summed
+    to M terms, M doubling from a precondition-respecting start until every
+    error radius (certified tail plus roundoff allowance) is within tol.
+    Raises ToleranceUnreachable past ``max_terms``, as soon as the roundoff
+    part alone of a radius exceeds tol (more terms only add to it), and where
+    the dual-side weights underflow float64 (alpha below about 0.03 to 0.06).
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -374,6 +512,14 @@ def hessian_spectrum(
             f"{entry.name} has a root-shell moment defect; the Hessian spectrum "
             "formula applies only at critical lattices"
         )
+    fold = None if alpha >= math.pi else _fold(entry, alpha, ToleranceUnreachable)
+    return _spectrum(entry, alpha, tol, max_terms, fold)
+
+
+def _spectrum(
+    entry: LatticeEntry, alpha: float, tol: float, max_terms: int, fold: _Fold | None
+) -> SpectrumReport:
+    """hessian_spectrum summed at alpha (fold None) or at fold.dual."""
     n = entry.dimension
     a1 = entry.root_count
     denom = float(n * (n + 2))
@@ -382,8 +528,9 @@ def hessian_spectrum(
     cusp_bound = None
     if entry.cusp is not None:
         cusp_bound = modforms.cusp_coeff_bound(n // 2 + 4, (1,))
+    at = alpha if fold is None else fold.dual
 
-    terms = _min_terms(n, alpha)
+    terms = _min_terms(n, at)
     if terms > max_terms:
         raise ToleranceUnreachable(
             f"alpha = {alpha:g} needs more than max_terms = {max_terms} series "
@@ -392,17 +539,16 @@ def hessian_spectrum(
     while True:
         terms = min(terms, max_terms)
         a, b = entry.series_floats(terms + 1)
-        m = np.arange(1, terms + 1, dtype=float)
-        w = np.exp(-2.0 * alpha * m)
-        sa_terms = a[1 : terms + 1] * (2.0 * alpha * m) * (2.0 * alpha * m - (n / 2 + 1)) * w
-        sb_terms = b[1 : terms + 1] * (alpha * alpha / 2.0) * w
+        sa_terms, sb_terms = _series_terms(n, a, b, at, terms)
         sa, sa_abs = float(np.sum(sa_terms)), float(np.sum(np.abs(sa_terms)))
         sb, sb_abs = float(np.sum(sb_terms)), float(np.sum(np.abs(sb_terms)))
 
-        a_tail = 4.0 * alpha * alpha * bound.series_tail(terms + 1, alpha, extra_exponent=2)
+        a_tail = 4.0 * at * at * bound.series_tail(terms + 1, at, extra_exponent=2)
         b_tail = 0.0
         if cusp_bound is not None:
-            b_tail = (alpha * alpha / 2.0) * cusp_bound.series_tail(terms + 1, alpha)
+            b_tail = (at * at / 2.0) * cusp_bound.series_tail(terms + 1, at)
+        if fold is not None:
+            ea, eb = _envelopes(n, a, b, at, terms)
 
         lines = []
         for lam, mult in lam_rows:
@@ -410,11 +556,12 @@ def hessian_spectrum(
             if entry.cusp is None:
                 assert coef == 0, "dimension-8 spectrum must not touch the cusp series"
             mu = (sa + coef * sb) / denom
-            radius = (
-                a_tail
-                + abs(coef) * b_tail
-                + _ROUNDOFF * (sa_abs + abs(coef) * sb_abs)
-            ) / denom
+            abs_sum = sa_abs + abs(coef) * sb_abs
+            radius = (a_tail + abs(coef) * b_tail + _ROUNDOFF * abs_sum) / denom
+            if fold is not None:
+                mu, radius = fold.spectral(
+                    mu, radius, abs_sum / denom, (ea + abs(coef) * eb) / denom
+                )
             lines.append(
                 SpectralLine(
                     q_eigenvalue=lam, multiplicity=mult, value=mu, error_radius=radius
@@ -423,6 +570,18 @@ def hessian_spectrum(
         worst = max(line.error_radius for line in lines)
         if worst <= tol:
             break
+        # the roundoff part only grows with more terms, and is largest on the
+        # line with the largest |coef|
+        widest = max(abs(lam * n * (n + 2) - 8 * a1) for lam, _ in lam_rows)
+        abs_sum = sa_abs + widest * sb_abs
+        floor = _ROUNDOFF * abs_sum / denom
+        if fold is not None:
+            floor = fold.spectral(0.0, floor, abs_sum / denom, (ea + widest * eb) / denom)[1]
+        if not floor <= tol:
+            raise ToleranceUnreachable(
+                f"roundoff-bound: the roundoff part {floor:.3g} of an error radius "
+                f"exceeds tol {tol:.3g} at {terms} series terms; more terms cannot help"
+            )
         if terms >= max_terms:
             raise ToleranceUnreachable(
                 f"error radius {worst:.3g} still above tol {tol:.3g} "
@@ -439,6 +598,7 @@ def hessian_spectrum(
         classification=classification,
         morse_index=index,
         margin=margin,
+        side="direct" if fold is None else "dual",
     )
 
 
@@ -446,17 +606,18 @@ def spectrum_partial(entry: LatticeEntry, alpha: float, lam: int, m_terms: int) 
     """Partial eigenvalue sum through m_terms, no tail: for truncation-matched
     cross-checks against direct shell enumeration."""
     n = entry.dimension
-    a, b = entry.series_floats(m_terms + 1)
-    m = np.arange(1, m_terms + 1, dtype=float)
-    w = np.exp(-2.0 * alpha * m)
-    sa = float(np.sum(a[1 : m_terms + 1] * (2.0 * alpha * m) * (2.0 * alpha * m - (n / 2 + 1)) * w))
-    sb = float(np.sum(b[1 : m_terms + 1] * (alpha * alpha / 2.0) * w))
+    sa_terms, sb_terms = _series_terms(n, *entry.series_floats(m_terms + 1), alpha, m_terms)
     coef = lam * n * (n + 2) - 8 * entry.root_count
-    return (sa + coef * sb) / float(n * (n + 2))
+    return (float(np.sum(sa_terms)) + coef * float(np.sum(sb_terms))) / float(n * (n + 2))
 
 
-def alpha_sweep(entry: LatticeEntry, alphas, tol: float = 1e-8) -> list[SpectrumReport]:
-    return [hessian_spectrum(entry, float(alpha), tol=tol) for alpha in alphas]
+def alpha_sweep(
+    entry: LatticeEntry, alphas, tol: float = 1e-8, max_terms: int = 4096
+) -> list[SpectrumReport]:
+    return [
+        hessian_spectrum(entry, float(alpha), tol=tol, max_terms=max_terms)
+        for alpha in alphas
+    ]
 
 
 def large_alpha_class(entry: LatticeEntry) -> str:
@@ -489,25 +650,30 @@ def isotropic_hessian_series(
     coefficient lambda n(n+2) - 8 a_1 = 0, and the whole traceless Hessian is
     mu * identity with mu = Sa / (n(n+2)).  The partial sum runs over
     m <= m_terms; the tail is certified from the theta coefficient bound.
+    Below alpha = pi both are summed at pi^2 / alpha and scaled back, the
+    tail absorbing the scaling allowance (see _Fold).
     """
     if entry.root_count != 0:
         raise Inapplicable("isotropic Hessian series requires a rootless lattice")
     n = entry.dimension
     denom = float(n * (n + 2))
-    if 2.0 * alpha * (m_terms + 1) < n / 2 + 1:
+    fold = _fold(entry, alpha, ToleranceUnreachable)
+    at = alpha if fold is None else fold.dual
+    if 2.0 * at * (m_terms + 1) < n / 2 + 1:
         raise modforms.MonotonicityViolated(
             "m_terms too small for the tail majorization at this alpha"
         )
-    a = entry.series_floats(m_terms + 1)[0]
-    m = np.arange(1, m_terms + 1, dtype=float)
-    w = np.exp(-2.0 * alpha * m)
-    partial = float(
-        np.sum(a[1 : m_terms + 1] * (2.0 * alpha * m) * (2.0 * alpha * m - (n / 2 + 1)) * w)
+    a, b = entry.series_floats(m_terms + 1)
+    sa_terms = _series_terms(n, a, b, at, m_terms)[0]
+    partial = float(np.sum(sa_terms))
+    tail = 4.0 * at * at * entry.coeff_bound().series_tail(
+        m_terms + 1, at, extra_exponent=2
     )
-    tail = 4.0 * alpha * alpha * entry.coeff_bound().series_tail(
-        m_terms + 1, alpha, extra_exponent=2
-    )
-    return partial / denom, tail / denom
+    if fold is None:
+        return partial / denom, tail / denom
+    magnitude = float(np.sum(np.abs(sa_terms))) / denom
+    envelope = _envelopes(n, a, b, at, m_terms)[0] / denom
+    return fold.spectral(partial / denom, tail / denom, magnitude, envelope)
 
 
 # ---------------------------------------------------------------------------

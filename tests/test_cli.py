@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latmorse import cli
 
@@ -23,6 +26,69 @@ def test_parse_alpha():
     for bad in ("0", "-2", "abc"):
         with pytest.raises(Exception):
             cli.parse_alpha(bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(allow_nan=True, allow_infinity=True))
+def test_parse_alpha_and_tol_accept_exactly_finite_positive(value):
+    for parse in (cli.parse_alpha, cli.parse_tol):
+        if value > 0 and math.isfinite(value):
+            assert parse(repr(value)) == value
+        else:
+            with pytest.raises(argparse.ArgumentTypeError):
+                parse(repr(value))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "E8", "--alpha", "nan"],
+        ["analyze", "E8", "--alpha", "inf"],
+        ["sweep", "E8", "--start", "-inf", "--stop", "3"],
+        ["analyze", "E8", "--tol", "-1e-10"],
+        ["analyze", "E8", "--tol", "0"],
+        ["dim16", "--tol", "nan"],
+    ],
+)
+def test_nonfinite_or_nonpositive_arguments_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_tolerance_unreachable_exits_1(capsys):
+    code, out, err = _run(capsys, ["analyze", "D24", "--tol", "1e-13"])
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "roundoff-bound" in err
+    code, _, err = _run(capsys, ["analyze", "E8", "--alpha", "0.01"])
+    assert code == 1
+    assert "underflow" in err
+
+
+def test_sweep_passes_series_length(capsys):
+    code, _, err = _run(capsys, ["sweep", "Leech", "--start", "2", "--stop", "2.5",
+                                 "--steps", "2", "--series-length", "8"])
+    assert code == 1
+    assert "max_terms = 8" in err
+
+
+def test_sweep_shallow_range(capsys):
+    code, out, _ = _run(capsys, ["sweep", "Leech", "--start", "0.1", "--stop", "10",
+                                 "--steps", "32"])
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 32
+    assert float(rows[0].split(",")[0]) == 0.1
+
+
+def test_dim32_shallow_alpha(capsys):
+    code, out, _ = _run(capsys, ["dim32", "--alpha", "0.5"])
+    assert code == 0
+    assert "summed at the dual alpha" in out
+    assert "NotCriticalAt(14)" in out
 
 
 def test_analyze_markdown(capsys):

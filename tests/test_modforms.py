@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -172,6 +173,14 @@ def test_zeta_upper():
     assert mf.zeta_upper(3) >= 1.2020569031595942
     with pytest.raises(ValueError):
         mf.zeta_upper(1)
+
+
+def test_zeta_upper_against_mpmath():
+    for s in range(2, 20):
+        exact = mpmath.zeta(s)
+        bound = mf.zeta_upper(s)
+        assert bound >= exact
+        assert bound <= exact * (1 + mpmath.mpf("1e-8"))
 
 
 def test_round_up_significant():

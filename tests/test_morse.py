@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -143,13 +144,18 @@ def test_classify_synthetic():
 
 
 def test_spectrum_adaptive_terms():
-    # shallow alpha: series magnitudes reach 1e7, so roundoff caps the radius
-    # well above 1e-10 and the term count must grow past the starting 25
+    # shallow alpha folds onto pi^2/alpha, where a few terms reach the target
     report = morse.hessian_spectrum(latcat.get("E8"), 0.1, tol=1e-6)
-    assert report.terms > 25
+    assert report.side == "dual"
+    assert report.terms <= 32
     assert all(line.error_radius <= 1e-6 for line in report.lines)
     fast = morse.hessian_spectrum(latcat.get("E8"), ALPHA)
     assert fast.terms == 16
+    assert fast.side == "direct"
+    # the doubling itself, on the unfolded kernel: Leech at alpha = 2 needs 32
+    unfolded = morse._spectrum(latcat.get("Leech"), 2.0, 1e-10, 4096, None)
+    assert unfolded.terms == 32
+    assert unfolded.side == "direct"
 
 
 def test_tolerance_unreachable():
@@ -199,7 +205,7 @@ def test_certificate_failure_modes():
     with pytest.raises(morse.CertificateFails):
         morse.noncritical_certificate(latcat.get("E8"), 14.0)  # critical, no witness
     with pytest.raises(morse.CertificateFails):
-        morse.noncritical_certificate(defective, 0.1)  # remainder dominates
+        morse.noncritical_certificate(defective, 3.0)  # remainder dominates on both sides
     off_diagonal = np.zeros((32, 32))
     off_diagonal[0, 1] = off_diagonal[1, 0] = 1.0
     with pytest.raises(morse.CertificateFails):
@@ -225,6 +231,96 @@ def test_large_alpha_classes():
     assert minima == {"E8", "D16+", "A24", "D24"}
     with pytest.raises(morse.Inapplicable):
         morse.large_alpha_class(latcat.get("Leech"))
+
+
+def test_roundoff_bound_stops_doubling():
+    # the roundoff part only grows with more terms: give up at once
+    with pytest.raises(morse.ToleranceUnreachable, match="roundoff-bound") as info:
+        morse.hessian_spectrum(latcat.get("D24"), ALPHA, tol=1e-13)
+    assert "at 16 series terms" in str(info.value)
+    with pytest.raises(morse.ToleranceUnreachable, match="roundoff-bound"):
+        morse.hessian_spectrum(latcat.get("E8"), ALPHA, tol=-1.0)
+
+
+def test_fold_overlaps_direct_kernel():
+    # both kernels on a grid around the fold point alpha = pi: intervals
+    # overlap and every certified sign agrees
+    for entry in latcat.list_catalog():
+        if not morse.criticality(entry).is_critical:
+            continue
+        for alpha in np.linspace(math.pi / 2, 2 * math.pi, 7):
+            direct = morse._spectrum(entry, alpha, 1e-8, 4096, None)
+            folded = morse._spectrum(entry, alpha, 1e-8, 4096, morse._dual_side(entry, alpha))
+            assert folded.side == "dual"
+            assert (folded.classification, folded.morse_index) == (
+                direct.classification,
+                direct.morse_index,
+            )
+            for d, f in zip(direct.lines, folded.lines, strict=True):
+                assert d.q_eigenvalue == f.q_eigenvalue
+                assert abs(d.value - f.value) <= d.error_radius + f.error_radius
+
+
+@pytest.mark.parametrize(
+    "name, alpha, length", [("E8", 0.5, 200), ("D16+", 1.0, 100), ("Leech", 1.0, 100)]
+)
+def test_fold_against_high_precision_direct_sum(name, alpha, length):
+    # independent route: the direct series at alpha itself, from exact
+    # coefficients in 80-digit arithmetic, summed far past its tail
+    entry = latcat.get(name)
+    n = entry.dimension
+    theta = modforms.theta_even_unimodular(n, entry.root_count, length)
+    cusp = modforms.cusp_normalized(n, length) if n != 8 else None
+    with mpmath.workdps(80):
+        al = mpmath.mpf(alpha)
+        folded = morse.hessian_spectrum(entry, alpha)
+        assert folded.side == "dual"
+        for line in folded.lines:
+            coef = line.q_eigenvalue * n * (n + 2) - 8 * entry.root_count
+            total = mpmath.mpf(0)
+            for m in range(1, length):
+                x = 2 * al * m
+                a = theta.coeffs[m]
+                total += mpmath.mpf(a.numerator) / a.denominator * x * (x - (n / 2 + 1)) * mpmath.exp(-x)
+                if cusp is not None:
+                    b = cusp.coeffs[m]
+                    total += coef * mpmath.mpf(b.numerator) / b.denominator * al**2 / 2 * mpmath.exp(-x)
+            exact = total / (n * (n + 2))
+            assert abs(line.value - exact) <= line.error_radius
+            assert line.error_radius <= 1e-9 * abs(exact)
+
+
+def test_fold_underflow_guard():
+    for name, alpha in (("E8", 0.029), ("D24", 0.029), ("Leech", 0.058), ("Rootless32", 0.058)):
+        with pytest.raises(morse.ToleranceUnreachable, match="underflow"):
+            morse.hessian_spectrum(latcat.get(name), alpha)
+    with pytest.raises(morse.ToleranceUnreachable, match="underflow"):
+        morse.isotropic_hessian_series(latcat.get("Rootless32"), 0.05)
+    with pytest.raises(morse.CertificateFails, match="underflow"):
+        morse.noncritical_certificate(latcat.get("A1^8+A3^8"), 0.02)
+    # just above the guard every sign is still certified
+    for name, alpha in (("E8", 0.031), ("D24", 0.031), ("Leech", 0.061)):
+        report = morse.hessian_spectrum(latcat.get(name), alpha)
+        assert report.classification != morse.CLASS_INDETERMINATE
+
+
+def test_certificate_folds_below_pi():
+    defective = latcat.get("A1^8+A3^8")
+    for alpha in (0.1, 0.5, 1.0):
+        cert = morse.noncritical_certificate(defective, alpha)
+        assert cert.alpha == alpha
+        assert cert.root_term > cert.remainder > 0
+        assert cert.constants["dual_alpha"] == pytest.approx(math.pi**2 / alpha)
+    with pytest.raises(morse.CertificateFails, match=r"alpha = 3 \(summed at pi\^2/alpha = 3\.2898"):
+        morse.noncritical_certificate(defective, 3.0)
+
+
+def test_isotropic_series_folds():
+    entry = latcat.get("Rootless32")
+    partial, tail = morse.isotropic_hessian_series(entry, 0.5, 8)
+    (line,) = morse.hessian_spectrum(entry, 0.5).lines
+    assert abs(partial - line.value) <= tail + line.error_radius
+    assert partial - tail > 0  # steep on the dual side: a local minimum
 
 
 def test_isotropic_series():
