@@ -41,6 +41,15 @@ def parse_tol(text: str) -> float:
     return _positive_finite("tol", text)
 
 
+def _int_at_least(low: int):
+    """argparse type for a decimal integer >= low, for low >= 0."""
+    def parse(text: str) -> int:
+        if not text.strip().isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
+
+
 def _fmt(x: float, digits: int | None) -> str:
     if digits is None:
         return repr(float(x))
@@ -127,9 +136,7 @@ def cmd_analyze(args) -> int:
     alpha = args.alpha
     crit = morse.criticality(entry)
     if crit.is_critical:
-        report = morse.hessian_spectrum(
-            entry, alpha, tol=args.tol, max_terms=args.series_length or 4096
-        )
+        report = morse.hessian_spectrum(entry, alpha, tol=args.tol, max_terms=args.series_length)
         if args.format == "json":
             payload = report.to_json_dict()
             payload["criticality"] = crit.kind
@@ -161,8 +168,7 @@ def cmd_table24(args) -> int:
         e for e in latcat.list_catalog() if e.dimension == 24 and e.root_count > 0
     ]
     reports = [
-        morse.hessian_spectrum(e, alpha, tol=args.tol,
-                               max_terms=args.series_length or 4096)
+        morse.hessian_spectrum(e, alpha, tol=args.tol, max_terms=args.series_length)
         for e in entries
     ]
     digits = args.paper_digits if args.paper_digits is not None else 4
@@ -191,8 +197,7 @@ def cmd_table24(args) -> int:
 def cmd_dim16(args) -> int:
     alpha = args.alpha
     reports = [
-        morse.hessian_spectrum(latcat.get(name), alpha, tol=args.tol,
-                               max_terms=args.series_length or 4096)
+        morse.hessian_spectrum(latcat.get(name), alpha, tol=args.tol, max_terms=args.series_length)
         for name in ("D16+", "E8^2")
     ]
     if args.format == "json":
@@ -213,8 +218,7 @@ def cmd_dim32(args) -> int:
 
     rootless = latcat.get("Rootless32")
     partial, tail = morse.isotropic_hessian_series(rootless, alpha, m_terms=8)
-    report = morse.hessian_spectrum(rootless, alpha, tol=args.tol,
-                                    max_terms=args.series_length or 4096)
+    report = morse.hessian_spectrum(rootless, alpha, tol=args.tol, max_terms=args.series_length)
     status |= int(report.classification == morse.CLASS_INDETERMINATE)
 
     defected = latcat.get("A1^8+A3^8")
@@ -254,8 +258,7 @@ def cmd_sweep(args) -> int:
         args.start + i * (args.stop - args.start) / (args.steps - 1)
         for i in range(args.steps)
     ]
-    reports = morse.alpha_sweep(entry, alphas, tol=args.tol,
-                                max_terms=args.series_length or 4096)
+    reports = morse.alpha_sweep(entry, alphas, tol=args.tol, max_terms=args.series_length)
     lines = ["alpha,lambda,mu,error_radius"]
     for report in reports:
         for line in report.lines:
@@ -342,16 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=parse_tol, default=1e-10,
                        help="target certified error radius per eigenvalue")
         p.add_argument("--format", choices=("markdown", "json"), default="markdown")
-        p.add_argument("--series-length", type=int, default=None,
-                       help="cap on q-series terms (default: adaptive up to 4096)")
-        p.add_argument("--paper-digits", type=int, default=None,
+        p.add_argument("--series-length", type=_int_at_least(1), default=4096,
+                       help="cap on the adaptive q-series terms (default 4096)")
+        p.add_argument("--paper-digits", type=_int_at_least(0), default=None,
                        help="truncate printed mu values to this many decimals")
         if lattice_arg:
             p.add_argument("lattice", help="catalog name or root-system string")
             p.add_argument("--dim", type=int, default=None,
                            help="lattice dimension for non-catalog root systems")
             p.add_argument("--root-count", type=int, default=None,
-                           help="override the root count for non-catalog entries")
+                           help="root count of a non-catalog entry (must match it)")
 
     p = sub.add_parser("analyze", help="criticality, spectrum, classification")
     common(p, lattice_arg=True)

@@ -53,14 +53,11 @@ class LatticeEntry:
         return f"LatticeEntry({self.name}, dim {self.dimension}, {self.root_count} roots)"
 
 
-@lru_cache(maxsize=None)
+# bounded, yet far above the ~28 (dimension, root count) keys times a few lengths in use
+@lru_cache(maxsize=512)
 def _series_pair(n: int, root_count: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    theta = modforms.theta_even_unimodular(n, root_count, length)
-    a = np.array(theta.floats())
-    if n == 8:
-        b = np.zeros(length)
-    else:
-        b = np.array(modforms.cusp_normalized(n, length).floats())
+    a = np.array(modforms.theta_even_unimodular(n, root_count, length).floats())
+    b = np.array(modforms.cusp_normalized(n, length).floats()) if n != 8 else np.zeros(length)
     a.setflags(write=False)
     b.setflags(write=False)
     return a, b
@@ -81,23 +78,9 @@ def _unimodular_basis(n: int) -> np.ndarray:
     return rows
 
 
-def _entry(
-    name: str,
-    dimension: int,
-    root_string: str | None,
-    with_gram: bool = False,
-) -> LatticeEntry:
-    if root_string is None:
-        system = empty_root_system()
-    else:
-        system = parse_root_system(root_string)
-    count = system.count
-    theta = modforms.theta_even_unimodular(dimension, count)
-    cusp = None
-    if dimension != 8:
-        cusp = modforms.cusp_normalized(dimension)
+def _entry(name: str, dimension: int, system: RootSystem, with_gram: bool = False) -> LatticeEntry:
+    """The one construction path: theta, cusp and Coxeter data from (n, roots)."""
     hs = set(system.coxeter_numbers)
-    coxeter = hs.pop() if len(hs) == 1 else None
     gram = basis = None
     if with_gram:
         basis = _unimodular_basis(dimension)
@@ -110,10 +93,10 @@ def _entry(
         name=name,
         dimension=dimension,
         root_system=system,
-        root_count=count,
-        coxeter_number=coxeter,
-        theta=theta,
-        cusp=cusp,
+        root_count=system.count,
+        coxeter_number=hs.pop() if len(hs) == 1 else None,
+        theta=modforms.theta_even_unimodular(dimension, system.count),
+        cusp=modforms.cusp_normalized(dimension) if dimension != 8 else None,
         gram=gram,
         basis=basis,
     )
@@ -148,18 +131,15 @@ NIEMEIER_ROOT_SYSTEMS = (
 
 @lru_cache(maxsize=1)
 def _catalog() -> tuple[LatticeEntry, ...]:
+    specs = [("E8", 8, "E8"), ("D16+", 16, "D16"), ("E8^2", 16, "E8^2"), ("Leech", 24, None)]
+    specs += [(name, 24, name) for name in NIEMEIER_ROOT_SYSTEMS]
+    specs += [("Rootless32", 32, None), ("A1^8+A3^8", 32, "A1^8+A3^8")]
     entries = [
-        _entry("E8", 8, "E8", with_gram=True),
-        _entry("D16+", 16, "D16", with_gram=True),
-        _entry("E8^2", 16, "E8^2"),
-        _entry("Leech", 24, None),
+        _entry(name, n, parse_root_system(roots) if roots else empty_root_system(),
+               with_gram=name in ("E8", "D16+"))
+        for name, n, roots in specs
     ]
-    for name in NIEMEIER_ROOT_SYSTEMS:
-        entries.append(_entry(name, 24, name))
-    entries.append(_entry("Rootless32", 32, None))
-    entries.append(_entry("A1^8+A3^8", 32, "A1^8+A3^8"))
-    entries.sort(key=lambda e: (e.dimension, e.root_count, e.name))
-    return tuple(entries)
+    return tuple(sorted(entries, key=lambda e: (e.dimension, e.root_count, e.name)))
 
 
 def list_catalog() -> list[LatticeEntry]:
@@ -185,7 +165,8 @@ def make_entry(
 
     Used to analyze hypothetical even unimodular lattices given their root
     shell.  The theta series is pinned by (dimension, root count); no Gram
-    matrix is attached.
+    matrix is attached.  The root shell is the root system, so a
+    ``root_count`` other than the system's own count is a ValueError.
     """
     system = parse_root_system(root_string)
     n = dimension if dimension is not None else system.total_rank
@@ -193,19 +174,12 @@ def make_entry(
         raise ValueError(f"even unimodular dimension must be 8/16/24/32, got {n}")
     if system.total_rank > n:
         raise ValueError("root system rank exceeds the lattice dimension")
-    count = root_count if root_count is not None else system.count
-    theta = modforms.theta_even_unimodular(n, count)
-    cusp = modforms.cusp_normalized(n) if n != 8 else None
-    hs = set(system.coxeter_numbers)
-    return LatticeEntry(
-        name=system.name if n == system.total_rank else f"{system.name} (dim {n})",
-        dimension=n,
-        root_system=system,
-        root_count=count,
-        coxeter_number=hs.pop() if len(hs) == 1 else None,
-        theta=theta,
-        cusp=cusp,
-    )
+    if root_count is not None and root_count != system.count:
+        raise ValueError(
+            f"root count {root_count} contradicts {system.name}, which has {system.count} roots"
+        )
+    name = system.name if n == system.total_rank else f"{system.name} (dim {n})"
+    return _entry(name, n, system)
 
 
 def entry_summary(entry: LatticeEntry, theta_terms: int = 16) -> dict:

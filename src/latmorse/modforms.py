@@ -2,9 +2,11 @@
 
 Theta functions of even unimodular lattices live in finite dimensional spaces
 of modular forms, so every theta series used here is an exact rational
-combination of Eisenstein series and a normalized cusp form.  Coefficients are
-Fractions end to end; floats appear only in the certified-bound layer, where
-every constant is rounded upward.
+combination of Eisenstein series and a normalized cusp form: at most two rows
+of one cached integer basis per truncation length, combined in O(length).
+Coefficients are exact ints (Fractions only where a combination is not
+integral); floats appear only in the certified-bound layer, where every
+constant is rounded upward.
 
 The bound layer provides three certified estimates:
 
@@ -21,9 +23,11 @@ float64 rounding accumulated in these short formulas.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 DEFAULT_LENGTH = 64
 
@@ -108,7 +112,7 @@ def _sigma_table(k: int, length: int) -> list[int]:
 
 @dataclass(frozen=True)
 class QSeries:
-    """Truncated q-expansion sum_m c_m q^m with exact rational coefficients.
+    """Truncated q-expansion sum_m c_m q^m with exact coefficients (int or Fraction).
 
     ``weight`` is the modular weight, carried so arithmetic can check that
     sums stay inside one space.  ``coeffs[m]`` is the coefficient of q^m;
@@ -116,13 +120,13 @@ class QSeries:
     """
 
     weight: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     @property
     def length(self) -> int:
         return len(self.coeffs)
 
-    def coefficient(self, m: int) -> Fraction:
+    def coefficient(self, m: int) -> int | Fraction:
         if m >= len(self.coeffs):
             raise TruncationInsufficient(
                 f"coefficient {m} beyond truncation order {len(self.coeffs)}"
@@ -186,20 +190,45 @@ def eisenstein(k: int, length: int = DEFAULT_LENGTH) -> QSeries:
     return QSeries(k, tuple(coeffs))
 
 
-@lru_cache(maxsize=64)
-def _eisenstein_cached(k: int, length: int) -> QSeries:
-    return eisenstein(k, length)
+def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Truncated product of two integer q-expansions of equal length."""
+    n, rb = len(a), b[::-1]
+    return tuple(sum(map(operator.mul, a[: m + 1], rb[n - 1 - m :])) for m in range(n))
+
+
+@lru_cache(maxsize=32)
+def _basis(length: int) -> MappingProxyType:
+    """E4, E4^2, E4^3, Delta, E4 Delta, E4^2 Delta, 3617 E16 to ``length`` terms.
+
+    Delta = (E4^3 - E6^2) / 1728 is an exact integer division.
+    """
+    e4 = (1,) + tuple(240 * s for s in _sigma_table(3, length)[1:])
+    e6 = (1,) + tuple(-504 * s for s in _sigma_table(5, length)[1:])
+    e4_sq = _convolve(e4, e4)
+    e4_cube = _convolve(e4_sq, e4)
+    diff = [a - b for a, b in zip(e4_cube, _convolve(e6, e6))]
+    assert all(c % 1728 == 0 for c in diff)
+    delta = tuple(c // 1728 for c in diff)
+    assert delta[:2] == (0, 1)[:length]
+    e4_delta = _convolve(e4, delta)
+    return MappingProxyType({
+        "E4": e4, "E4^2": e4_sq, "E4^3": e4_cube, "Delta": delta, "E4 Delta": e4_delta,
+        "E4^2 Delta": _convolve(e4, e4_delta),
+        "3617 E16": (3617,) + tuple(16320 * s for s in _sigma_table(15, length)[1:]),
+    })
+
+
+def _combine(base, row, factor: Fraction, denominator: int = 1) -> tuple:
+    """Coefficients of (base + factor * row) / denominator: ints where exact."""
+    p, q = factor.numerator, factor.denominator * denominator
+    nums = [b * factor.denominator + p * r for b, r in zip(base, row)]
+    return tuple(c // q if c % q == 0 else Fraction(c, q) for c in nums)
 
 
 @lru_cache(maxsize=16)
 def discriminant(length: int = DEFAULT_LENGTH) -> QSeries:
     """The normalized weight-12 cusp form (E4^3 - E6^2) / 1728."""
-    e4 = _eisenstein_cached(4, length)
-    e6 = _eisenstein_cached(6, length)
-    delta = (e4 * e4 * e4 - e6 * e6).scale(Fraction(1, 1728))
-    assert delta.coeffs[0] == 0 and delta.coeffs[1] == 1
-    assert delta.is_integral()
-    return delta
+    return QSeries(12, _basis(length)["Delta"])
 
 
 def eisenstein_first_coeff(k: int) -> Fraction:
@@ -215,15 +244,10 @@ def cusp_normalized(n: int, length: int = DEFAULT_LENGTH) -> QSeries:
     Delta, E4*Delta and E4^2*Delta for n = 16, 24, 32.  Dimension 8 has no
     cusp form of weight 8, which callers treat as an identically zero series.
     """
-    if n not in (16, 24, 32):
+    rows = {16: "Delta", 24: "E4 Delta", 32: "E4^2 Delta"}
+    if n not in rows:
         raise UnsupportedDimension(f"no weight-(n/2+4) cusp form stored for n={n}")
-    form = discriminant(length)
-    e4 = _eisenstein_cached(4, length)
-    for _ in range((n - 16) // 8):
-        form = form * e4
-    assert form.weight == n // 2 + 4
-    assert form.coeffs[1] == 1
-    return form
+    return QSeries(n // 2 + 4, _basis(length)[rows[n]])
 
 
 @lru_cache(maxsize=256)
@@ -235,25 +259,21 @@ def theta_even_unimodular(n: int, root_count, length: int = DEFAULT_LENGTH) -> Q
     * n = 8:   E4 (root_count must be 240),
     * n = 16:  E4^2 (root_count must be 480),
     * n = 24:  E4^3 + (root_count - 720) Delta,
-    * n = 32:  E16 + (root_count - 16320/3617) E4 Delta.
+    * n = 32:  (3617 E16 + (3617 root_count - 16320) E4 Delta) / 3617.
     """
-    rc = Fraction(root_count)
-    e4 = _eisenstein_cached(4, length)
+    rc, rows = Fraction(root_count), _basis(length)
     if n == 8:
         if rc != 240:
             raise InconsistentRootCount("dimension 8 forces 240 roots")
-        return QSeries(4, e4.coeffs)
+        return QSeries(4, rows["E4"])
     if n == 16:
         if rc != 480:
             raise InconsistentRootCount("dimension 16 forces 480 roots")
-        return QSeries(8, (e4 * e4).coeffs)
+        return QSeries(8, rows["E4^2"])
     if n == 24:
-        base = e4 * e4 * e4
-        return base + discriminant(length).scale(rc - 720)
+        return QSeries(12, _combine(rows["E4^3"], rows["Delta"], rc - 720))
     if n == 32:
-        base = _eisenstein_cached(16, length)
-        cusp = discriminant(length) * e4  # weight-16 normalized cusp form
-        return base + cusp.scale(rc - eisenstein_first_coeff(16))
+        return QSeries(16, _combine(rows["3617 E16"], rows["E4 Delta"], 3617 * rc - 16320, 3617))
     raise UnsupportedDimension(f"theta series known for n in 8..32 by 8, got {n}")
 
 

@@ -48,6 +48,10 @@ def test_parse_alpha_and_tol_accept_exactly_finite_positive(value):
         ["analyze", "E8", "--tol", "-1e-10"],
         ["analyze", "E8", "--tol", "0"],
         ["dim16", "--tol", "nan"],
+        ["analyze", "E8", "--series-length", "-5"],
+        ["analyze", "E8", "--series-length", "0"],
+        ["sweep", "E8", "--start", "3", "--stop", "4", "--series-length", "2.5"],
+        ["table24", "--paper-digits", "-1"],
     ],
 )
 def test_nonfinite_or_nonpositive_arguments_exit_2(argv, capsys):
@@ -55,6 +59,15 @@ def test_nonfinite_or_nonpositive_arguments_exit_2(argv, capsys):
         cli.main(argv)
     assert info.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("root_count", ["7", "-5"])
+def test_inconsistent_root_count_exits_2(root_count, capsys):
+    code, out, err = _run(capsys, ["analyze", "A1", "--dim", "24", "--root-count", root_count])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: root count")
+    assert "Traceback" not in err
 
 
 def test_tolerance_unreachable_exits_1(capsys):

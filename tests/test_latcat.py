@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from latmorse import latcat
+from latmorse import latcat, modforms
 
 NIEMEIER_COUNT = 23  # rooted 24-dimensional entries
 
@@ -88,6 +90,58 @@ def test_theta_known_rows():
     assert int(defective.theta.coefficient(2)) == 171072
 
 
+@functools.lru_cache(maxsize=None)
+def _fraction_products(length):
+    e4, e6 = modforms.eisenstein(4, length), modforms.eisenstein(6, length)
+    delta = (e4 * e4 * e4 - e6 * e6).scale(Fraction(1, 1728))
+    return e4, e4 * e4, e4 * e4 * e4, delta, delta * e4, delta * e4 * e4
+
+
+def _fraction_forms(n, root_count, length=modforms.DEFAULT_LENGTH):
+    """Theta and cusp series from Fraction QSeries products, as built before."""
+    e4, e4_sq, e4_cube, delta, e4_delta, e4_sq_delta = _fraction_products(length)
+    cusp = {8: None, 16: delta, 24: e4_delta, 32: e4_sq_delta}[n]
+    if n == 8:
+        theta = e4
+    elif n == 16:
+        theta = e4_sq
+    elif n == 24:
+        theta = e4_cube + delta.scale(root_count - 720)
+    else:
+        theta = modforms.eisenstein(16, length) + e4_delta.scale(
+            root_count - modforms.eisenstein_first_coeff(16)
+        )
+    return theta, cusp
+
+
+def test_catalog_matches_fraction_construction():
+    for entry in latcat.list_catalog():
+        theta, cusp = _fraction_forms(entry.dimension, entry.root_count)
+        assert entry.theta.weight == theta.weight
+        assert entry.theta.coeffs == theta.coeffs, entry.name
+        if cusp is None:
+            assert entry.cusp is None
+        else:
+            assert entry.cusp.weight == cusp.weight
+            assert entry.cusp.coeffs == cusp.coeffs, entry.name
+        a, b = entry.series_floats(129)
+        theta, cusp = _fraction_forms(entry.dimension, entry.root_count, 129)
+        assert list(a) == theta.floats()
+        assert list(b) == (cusp.floats() if cusp else [0.0] * 129)
+
+
+def test_catalog_build_uses_no_qseries_products(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("QSeries.__mul__ called while building the catalog")
+
+    for cached in (latcat._catalog, modforms._basis, modforms.discriminant,
+                   modforms.cusp_normalized, modforms.theta_even_unimodular):
+        cached.cache_clear()
+    monkeypatch.setattr(modforms.QSeries, "__mul__", refuse)
+    assert len(latcat.list_catalog()) == 29
+    assert modforms._basis.cache_info().misses > 0
+
+
 def test_series_floats():
     entry = latcat.get("E8")
     a, b = entry.series_floats(10)
@@ -128,6 +182,10 @@ def test_make_entry():
     assert padded.name == "A1 (dim 32)"
     assert padded.root_count == 2
 
+    assert latcat.make_entry("A1", 32).theta.coeffs == padded.theta.coeffs
+    for wrong in (7, -5, 0):
+        with pytest.raises(ValueError, match="root count"):
+            latcat.make_entry("A1", 24, wrong)
     with pytest.raises(ValueError):
         latcat.make_entry("A5", 12)
     with pytest.raises(ValueError):

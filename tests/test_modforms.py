@@ -160,6 +160,47 @@ def test_theta_dimension_32_integrality():
     assert [int(c) for c in theta.coeffs[:9]] == ROOTLESS32_ROW
 
 
+def _fraction_basis(length):
+    """The basis built from Fraction QSeries products, as before the integer rows."""
+    e4, e6 = mf.eisenstein(4, length), mf.eisenstein(6, length)
+    delta = (e4 * e4 * e4 - e6 * e6).scale(Fraction(1, 1728))
+    return {
+        "E4": e4,
+        "3617 E16": mf.eisenstein(16, length).scale(3617),
+        "E4^2": e4 * e4,
+        "E4^3": e4 * e4 * e4,
+        "Delta": delta,
+        "E4 Delta": delta * e4,
+        "E4^2 Delta": delta * e4 * e4,
+    }
+
+
+@pytest.mark.parametrize("length", [2, 17, 64, 129])
+def test_integer_basis_matches_fraction_products(length):
+    reference, basis = _fraction_basis(length), mf._basis(length)
+    assert set(basis) == set(reference)
+    for name, form in reference.items():
+        row = basis[name]
+        assert all(type(c) is int for c in row), name
+        assert row == form.coeffs, name
+
+
+def test_theta_combination_matches_fraction_products():
+    # E16 + (rc - 16320/3617) E4 Delta is integral for any integer rc (Ramanujan's
+    # congruence mod 3617); a fractional rc leaves Fractions, which must survive
+    reference = _fraction_basis(17)
+    e4_cube, delta, e4_delta = reference["E4^3"], reference["Delta"], reference["E4 Delta"]
+    for rc in (2, Fraction(1, 2)):
+        old = mf.eisenstein(16, 17) + e4_delta.scale(rc - mf.eisenstein_first_coeff(16))
+        theta = mf.theta_even_unimodular(32, rc, 17)
+        assert theta.coeffs == old.coeffs
+        assert theta.is_integral() == (rc == 2)
+        assert theta.to_json_dict() == old.to_json_dict()
+        assert theta.floats() == old.floats()
+        old = e4_cube + delta.scale(rc - 720)
+        assert mf.theta_even_unimodular(24, rc, 17).coeffs == old.coeffs
+
+
 def test_theta_first_coefficient_is_root_count():
     for n, rc in ((8, 240), (16, 480), (24, 48), (24, 0), (32, 112), (32, 0)):
         assert mf.theta_even_unimodular(n, rc).coefficient(1) == rc
