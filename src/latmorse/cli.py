@@ -136,7 +136,7 @@ def cmd_analyze(args) -> int:
     alpha = args.alpha
     crit = morse.criticality(entry)
     if crit.is_critical:
-        report = morse.hessian_spectrum(entry, alpha, tol=args.tol, max_terms=args.series_length)
+        report = morse.hessian_spectrum(entry, alpha, tol=args.tol)
         if args.format == "json":
             payload = report.to_json_dict()
             payload["criticality"] = crit.kind
@@ -167,10 +167,7 @@ def cmd_table24(args) -> int:
     entries = [
         e for e in latcat.list_catalog() if e.dimension == 24 and e.root_count > 0
     ]
-    reports = [
-        morse.hessian_spectrum(e, alpha, tol=args.tol, max_terms=args.series_length)
-        for e in entries
-    ]
+    reports = [morse.hessian_spectrum(e, alpha, tol=args.tol) for e in entries]
     digits = args.paper_digits if args.paper_digits is not None else 4
     if args.format == "json":
         print(json.dumps([r.to_json_dict() for r in reports], indent=2))
@@ -197,7 +194,7 @@ def cmd_table24(args) -> int:
 def cmd_dim16(args) -> int:
     alpha = args.alpha
     reports = [
-        morse.hessian_spectrum(latcat.get(name), alpha, tol=args.tol, max_terms=args.series_length)
+        morse.hessian_spectrum(latcat.get(name), alpha, tol=args.tol)
         for name in ("D16+", "E8^2")
     ]
     if args.format == "json":
@@ -218,7 +215,7 @@ def cmd_dim32(args) -> int:
 
     rootless = latcat.get("Rootless32")
     partial, tail = morse.isotropic_hessian_series(rootless, alpha, m_terms=8)
-    report = morse.hessian_spectrum(rootless, alpha, tol=args.tol, max_terms=args.series_length)
+    report = morse.hessian_spectrum(rootless, alpha, tol=args.tol)
     status |= int(report.classification == morse.CLASS_INDETERMINATE)
 
     defected = latcat.get("A1^8+A3^8")
@@ -258,7 +255,7 @@ def cmd_sweep(args) -> int:
         args.start + i * (args.stop - args.start) / (args.steps - 1)
         for i in range(args.steps)
     ]
-    reports = morse.alpha_sweep(entry, alphas, tol=args.tol, max_terms=args.series_length)
+    reports = morse.alpha_sweep(entry, alphas, tol=args.tol)
     lines = ["alpha,lambda,mu,error_radius"]
     for report in reports:
         for line in report.lines:
@@ -345,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=parse_tol, default=1e-10,
                        help="target certified error radius per eigenvalue")
         p.add_argument("--format", choices=("markdown", "json"), default="markdown")
-        p.add_argument("--series-length", type=_int_at_least(1), default=4096,
-                       help="cap on the adaptive q-series terms (default 4096)")
         p.add_argument("--paper-digits", type=_int_at_least(0), default=None,
                        help="truncate printed mu values to this many decimals")
         if lattice_arg:

@@ -155,11 +155,13 @@ def _check_shell_budget(m_max: int) -> None:
         raise BudgetExceeded(f"shells limited to m <= {MAX_SHELL}")
 
 
+# per Gram matrix bytes, the longest shell list built; the oldest entry goes first
+_SHELL_CACHE_SIZE = 8
 _shell_cache: dict[bytes, tuple[int, list[ShellList]]] = {}
 
 
 def shells_up_to(gram, m_max: int) -> list[ShellList]:
-    """ShellLists for norms 2, 4, ..., 2*m_max (cached per Gram matrix)."""
+    """ShellLists for norms 2, 4, ..., 2*m_max (cached for the last few Gram matrices)."""
     _check_shell_budget(m_max)
     g = _checked_gram(gram)
     key = g.tobytes()
@@ -173,7 +175,10 @@ def shells_up_to(gram, m_max: int) -> list[ShellList]:
         sel = vectors[norms == 2 * m]
         sel.setflags(write=False)
         shells.append(ShellList(norm=2 * m, vectors=sel))
+    _shell_cache.pop(key, None)
     _shell_cache[key] = (m_max, shells)
+    if len(_shell_cache) > _SHELL_CACHE_SIZE:
+        del _shell_cache[next(iter(_shell_cache))]
     return shells
 
 

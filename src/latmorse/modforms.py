@@ -402,6 +402,12 @@ def incomplete_gamma(s: int, x: float) -> float:
     return math.exp(max(logval, _LOG_FLOOR)) * _UP
 
 
+def _check_alpha(alpha: float) -> None:
+    """Raise ValueError unless the Gaussian parameter is positive and finite."""
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+
+
 def tail_bound(j: int, k: int, alpha: float) -> float:
     """Certified bound on sum_{m >= j} m^k e^(-2 alpha m).
 
@@ -411,8 +417,7 @@ def tail_bound(j: int, k: int, alpha: float) -> float:
     """
     if j < 1 or k < 0:
         raise ValueError("need j >= 1 and k >= 0")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     if 2.0 * alpha * j < k:
         raise MonotonicityViolated(
             f"tail start j={j} below k/(2 alpha) = {k / (2 * alpha):.3f}"

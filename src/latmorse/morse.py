@@ -22,9 +22,11 @@ classification are certificates, not estimates.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,14 +87,14 @@ class _Fold:
     E_alpha(e^(tH/2) L) = const + s E_alpha'(e^(-tH/2) L) with
     s = (pi/alpha)^(n/2): Hessian eigenvalues at alpha are s times those at
     alpha', and the gradient pairing is -s times its dual.  For alpha < pi
-    the series at alpha' > pi converge fast (16 to 32 terms).
+    the series at alpha' > pi converge fast (16 terms).
 
     Error model, u = 2^-53.  ``dual`` = fl(fl(pi pi) / alpha) is within
     _ARG_REL = 3u of pi^2 / alpha: math.pi is within 0.36u of pi, then two
     roundings.  Partial sums take that into account through their envelopes;
-    the certified tails carry a 1e-9 inflation, above its effect on them
-    (2 alpha' M * 3u < 1e-11 at alpha' <= 330 and the 16 to 32 terms the
-    dual side takes, < 9e-10 even at the default max_terms = 4096).
+    the certified tails carry a 1e-9 inflation, above its effect on them:
+    2 alpha' M * 3u < 4e-12, since the fold sums at pi < alpha' <= 330 and
+    _truncation returns M <= max(17, 700 / alpha' + 1) there.
     ``scale`` = fl(fl(pi / alpha)^(n/2)) is within (0.75 n + 2)u of s: the
     input error grows n/2-fold, plus one ulp of pow.  ``rel`` = (n + 8)u adds
     the rounding of the product with s and of the few operations that scale
@@ -282,8 +284,7 @@ def noncritical_certificate(
     at alpha, and root term and remainder are scaled back by s (see _Fold).
     Raises CertificateFails when the root term does not dominate.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    modforms._check_alpha(alpha)
     if entry.root_count == 0:
         raise CertificateFails("no root shell: the leading gradient term is absent")
     crit = criticality(entry)
@@ -462,132 +463,136 @@ def _min_terms(n: int, alpha: float) -> int:
     return max(16, math.ceil((n / 2 + 1) / (2.0 * alpha)))
 
 
-def _series_terms(n: int, a, b, alpha: float, terms: int):
-    """Summands m = 1..terms of Sa and Sb at alpha, from the float theta and
-    cusp coefficients a, b of a dimension-n lattice."""
-    x = 2.0 * alpha * np.arange(1, terms + 1, dtype=float)
-    w = np.exp(-x)
-    sa_terms = a[1 : terms + 1] * x * (x - (n / 2 + 1)) * w
-    sb_terms = b[1 : terms + 1] * (alpha * alpha / 2.0) * w
-    return sa_terms, sb_terms
+def _kernel(entry: LatticeEntry, at: float, terms: int):
+    """(Sa, sum |Sa summands|, Sb, sum |Sb summands|, envelopes) over m = 1..terms:
+    summands a_m x (x - c) e^-x and b_m (at^2 / 2) e^-x, x = 2 at m, c = n/2 + 1.
 
-
-def _envelopes(n: int, a, b, alpha: float, terms: int) -> tuple[float, float]:
-    """Bounds on |d Sa / d log alpha| and |d Sb / d log alpha| over m <= terms.
-
-    With x = 2 alpha m and c = n/2 + 1, |x d/dx [x (x - c) e^-x]| <=
-    (x + 2) x (x + c) e^-x and |alpha d/d alpha [alpha^2 e^-x]| <=
-    (x + 2) alpha^2 e^-x.
+    ``envelopes()`` bounds |d Sa / d log at| and |d Sb / d log at| for _Fold:
+    |x d/dx [x (x - c) e^-x]| <= (x + 2) x (x + c) e^-x and
+    |at d/d at [at^2 e^-x]| <= (x + 2) at^2 e^-x.
     """
-    x = 2.0 * alpha * np.arange(1, terms + 1, dtype=float)
-    w = (x + 2.0) * np.exp(-x)
-    ea = float(np.sum(np.abs(a[1 : terms + 1]) * x * (x + (n / 2 + 1)) * w))
-    eb = float(np.sum(np.abs(b[1 : terms + 1]) * (alpha * alpha / 2.0) * w))
-    return ea, eb
+    c = entry.dimension / 2 + 1
+    a, b = entry.series_floats(terms + 1)
+    a, b = a[1 : terms + 1], b[1 : terms + 1]
+    x = 2.0 * at * np.arange(1, terms + 1, dtype=float)
+    w = np.exp(-x)
+    sa_terms = a * x * (x - c) * w
+    sb_terms = b * (at * at / 2.0) * w
+
+    def envelopes() -> tuple[float, float]:
+        v = (x + 2.0) * w
+        return (float(np.sum(np.abs(a) * x * (x + c) * v)),
+                float(np.sum(np.abs(b) * (at * at / 2.0) * v)))
+
+    return (float(np.sum(sa_terms)), float(np.sum(np.abs(sa_terms))),
+            float(np.sum(sb_terms)), float(np.sum(np.abs(sb_terms))), envelopes)
 
 
-def hessian_spectrum(
-    entry: LatticeEntry,
-    alpha: float,
-    tol: float = 1e-10,
-    max_terms: int = 4096,
-) -> SpectrumReport:
+def _tails(entry: LatticeEntry, at: float, terms: int) -> tuple[float, float]:
+    """Certified theta and cusp tails of Sa and Sb beyond m = terms (nonincreasing in it)."""
+    a_tail = 4.0 * at * at * entry.coeff_bound().series_tail(terms + 1, at, extra_exponent=2)
+    if entry.cusp is None:
+        return a_tail, 0.0
+    return a_tail, (at * at / 2.0) * _cusp_bound(entry.dimension).series_tail(terms + 1, at)
+
+
+@lru_cache(maxsize=4)
+def _cusp_bound(n: int) -> modforms.CoeffBound:
+    """Coefficient bound of the normalized weight-(n/2 + 4) cusp form."""
+    return modforms.cusp_coeff_bound(n // 2 + 4, (1,))
+
+
+def _truncation(entry: LatticeEntry, at: float, tol: float, part) -> tuple[int, float, float]:
+    """(M, theta tail, cusp tail) for the smallest M >= _min_terms at which
+    ``part`` of the tails is <= tol/2, found before any coefficient is read.
+
+    The tails are nonincreasing in M and stop at e^-700 once M >= 700 / at:
+    a tol/2 below ``part`` there raises at once, as does a tol that is not > 0.
+    """
+    if not tol > 0:
+        raise ToleranceUnreachable(
+            f"roundoff-bound: tol {tol!r} is not positive, and every error radius "
+            "has a positive roundoff part"
+        )
+    low = _min_terms(entry.dimension, at)
+    tails = _tails(entry, at, low)
+    if part(*tails) <= tol / 2:
+        return (low, *tails)
+    high = max(low + 1, math.ceil(700.0 / at))
+    floor = part(*_tails(entry, at, high))
+    if not floor <= tol / 2:
+        raise ToleranceUnreachable(
+            f"underflow: tol/2 = {tol / 2:.3g} is below {floor:.3g}, the tail part of an "
+            "error radius at any length (the tail bounds stop at e^-700)"
+        )
+    # part > tol/2 at low and <= tol/2 at high
+    terms = low + 1 + bisect.bisect_left(
+        range(low + 1, high + 1), True, key=lambda m: part(*_tails(entry, at, m)) <= tol / 2
+    )
+    return (terms, *_tails(entry, at, terms))
+
+
+def hessian_spectrum(entry: LatticeEntry, alpha: float, tol: float = 1e-10) -> SpectrumReport:
     """Certified traceless Hessian spectrum of a critical lattice at alpha.
 
     Eigenvalues come out as mu(lambda) = (Sa + (lambda n(n+2) - 8 a_1) Sb)
     / (n(n+2)) with Sa, Sb series over theta and cusp coefficients.  Below
     alpha = pi the series are summed at pi^2 / alpha and scaled back by
-    (pi/alpha)^(n/2) (``side`` = "dual", see _Fold).  The series are summed
-    to M terms, M doubling from a precondition-respecting start until every
-    error radius (certified tail plus roundoff allowance) is within tol.
-    Raises ToleranceUnreachable past ``max_terms``, as soon as the roundoff
-    part alone of a radius exceeds tol (more terms only add to it), and where
-    the dual-side weights underflow float64 (alpha below about 0.03 to 0.06).
+    (pi/alpha)^(n/2) (``side`` = "dual", see _Fold).  They are summed once,
+    to the shortest length M whose certified tail part of every radius is
+    within tol/2 (_truncation).  Raises ToleranceUnreachable when a radius
+    still exceeds tol there (its roundoff part, which more terms only grow,
+    is then above tol/2), for a tol not above 0 or the tail floor, and where
+    dual-side weights underflow (alpha below about 0.03 to 0.06).
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    modforms._check_alpha(alpha)
     crit = criticality(entry)
     if not crit.is_critical:
         raise NotCritical(
             f"{entry.name} has a root-shell moment defect; the Hessian spectrum "
             "formula applies only at critical lattices"
         )
-    fold = None if alpha >= math.pi else _fold(entry, alpha, ToleranceUnreachable)
-    return _spectrum(entry, alpha, tol, max_terms, fold)
+    return _spectrum(entry, alpha, tol, _fold(entry, alpha, ToleranceUnreachable))
 
 
-def _spectrum(
-    entry: LatticeEntry, alpha: float, tol: float, max_terms: int, fold: _Fold | None
-) -> SpectrumReport:
+def _spectrum(entry: LatticeEntry, alpha: float, tol: float, fold: _Fold | None) -> SpectrumReport:
     """hessian_spectrum summed at alpha (fold None) or at fold.dual."""
     n = entry.dimension
     a1 = entry.root_count
     denom = float(n * (n + 2))
     lam_rows = _lambda_spectrum(entry)
-    bound = entry.coeff_bound()
-    cusp_bound = None
-    if entry.cusp is not None:
-        cusp_bound = modforms.cusp_coeff_bound(n // 2 + 4, (1,))
+    widest = max(abs(lam * n * (n + 2) - 8 * a1) for lam, _ in lam_rows)
     at = alpha if fold is None else fold.dual
 
-    terms = _min_terms(n, at)
-    if terms > max_terms:
-        raise ToleranceUnreachable(
-            f"alpha = {alpha:g} needs more than max_terms = {max_terms} series "
-            "terms before the tail bounds even apply"
+    def tail_part(a_tail, b_tail):
+        part = (a_tail + widest * b_tail) / denom
+        return part if fold is None else fold.spectral(0.0, part, 0.0, 0.0)[1]
+
+    terms, a_tail, b_tail = _truncation(entry, at, tol, tail_part)
+    sa, sa_abs, sb, sb_abs, envelopes = _kernel(entry, at, terms)
+    if fold is not None:
+        ea, eb = envelopes()
+    lines = []
+    for lam, mult in lam_rows:
+        coef = lam * n * (n + 2) - 8 * a1
+        if entry.cusp is None:
+            assert coef == 0, "dimension-8 spectrum must not touch the cusp series"
+        mu = (sa + coef * sb) / denom
+        abs_sum = sa_abs + abs(coef) * sb_abs
+        radius = (a_tail + abs(coef) * b_tail + _ROUNDOFF * abs_sum) / denom
+        if fold is not None:
+            mu, radius = fold.spectral(mu, radius, abs_sum / denom, (ea + abs(coef) * eb) / denom)
+        lines.append(
+            SpectralLine(q_eigenvalue=lam, multiplicity=mult, value=mu, error_radius=radius)
         )
-    while True:
-        terms = min(terms, max_terms)
-        a, b = entry.series_floats(terms + 1)
-        sa_terms, sb_terms = _series_terms(n, a, b, at, terms)
-        sa, sa_abs = float(np.sum(sa_terms)), float(np.sum(np.abs(sa_terms)))
-        sb, sb_abs = float(np.sum(sb_terms)), float(np.sum(np.abs(sb_terms)))
-
-        a_tail = 4.0 * at * at * bound.series_tail(terms + 1, at, extra_exponent=2)
-        b_tail = 0.0
-        if cusp_bound is not None:
-            b_tail = (at * at / 2.0) * cusp_bound.series_tail(terms + 1, at)
-        if fold is not None:
-            ea, eb = _envelopes(n, a, b, at, terms)
-
-        lines = []
-        for lam, mult in lam_rows:
-            coef = lam * n * (n + 2) - 8 * a1
-            if entry.cusp is None:
-                assert coef == 0, "dimension-8 spectrum must not touch the cusp series"
-            mu = (sa + coef * sb) / denom
-            abs_sum = sa_abs + abs(coef) * sb_abs
-            radius = (a_tail + abs(coef) * b_tail + _ROUNDOFF * abs_sum) / denom
-            if fold is not None:
-                mu, radius = fold.spectral(
-                    mu, radius, abs_sum / denom, (ea + abs(coef) * eb) / denom
-                )
-            lines.append(
-                SpectralLine(
-                    q_eigenvalue=lam, multiplicity=mult, value=mu, error_radius=radius
-                )
-            )
-        worst = max(line.error_radius for line in lines)
-        if worst <= tol:
-            break
-        # the roundoff part only grows with more terms, and is largest on the
-        # line with the largest |coef|
-        widest = max(abs(lam * n * (n + 2) - 8 * a1) for lam, _ in lam_rows)
-        abs_sum = sa_abs + widest * sb_abs
-        floor = _ROUNDOFF * abs_sum / denom
-        if fold is not None:
-            floor = fold.spectral(0.0, floor, abs_sum / denom, (ea + widest * eb) / denom)[1]
-        if not floor <= tol:
-            raise ToleranceUnreachable(
-                f"roundoff-bound: the roundoff part {floor:.3g} of an error radius "
-                f"exceeds tol {tol:.3g} at {terms} series terms; more terms cannot help"
-            )
-        if terms >= max_terms:
-            raise ToleranceUnreachable(
-                f"error radius {worst:.3g} still above tol {tol:.3g} "
-                f"at {terms} series terms"
-            )
-        terms *= 2
+    radius = max(line.error_radius for line in lines)
+    if not radius <= tol:
+        tail = tail_part(a_tail, b_tail)  # every part of a radius grows with |coef|
+        raise ToleranceUnreachable(
+            f"roundoff-bound: error radius {radius:.3g} exceeds tol {tol:.3g} at "
+            f"{terms} series terms; its tail part is {tail:.3g} and its roundoff "
+            f"part {radius - tail:.3g}, which more terms cannot reduce"
+        )
 
     classification, index, margin = classify(lines)
     return SpectrumReport(
@@ -606,18 +611,12 @@ def spectrum_partial(entry: LatticeEntry, alpha: float, lam: int, m_terms: int) 
     """Partial eigenvalue sum through m_terms, no tail: for truncation-matched
     cross-checks against direct shell enumeration."""
     n = entry.dimension
-    sa_terms, sb_terms = _series_terms(n, *entry.series_floats(m_terms + 1), alpha, m_terms)
-    coef = lam * n * (n + 2) - 8 * entry.root_count
-    return (float(np.sum(sa_terms)) + coef * float(np.sum(sb_terms))) / float(n * (n + 2))
+    sa, _, sb, _, _ = _kernel(entry, alpha, m_terms)
+    return (sa + (lam * n * (n + 2) - 8 * entry.root_count) * sb) / float(n * (n + 2))
 
 
-def alpha_sweep(
-    entry: LatticeEntry, alphas, tol: float = 1e-8, max_terms: int = 4096
-) -> list[SpectrumReport]:
-    return [
-        hessian_spectrum(entry, float(alpha), tol=tol, max_terms=max_terms)
-        for alpha in alphas
-    ]
+def alpha_sweep(entry: LatticeEntry, alphas, tol: float = 1e-8) -> list[SpectrumReport]:
+    return [hessian_spectrum(entry, float(alpha), tol=tol) for alpha in alphas]
 
 
 def large_alpha_class(entry: LatticeEntry) -> str:
@@ -653,27 +652,18 @@ def isotropic_hessian_series(
     Below alpha = pi both are summed at pi^2 / alpha and scaled back, the
     tail absorbing the scaling allowance (see _Fold).
     """
+    modforms._check_alpha(alpha)
     if entry.root_count != 0:
         raise Inapplicable("isotropic Hessian series requires a rootless lattice")
     n = entry.dimension
     denom = float(n * (n + 2))
     fold = _fold(entry, alpha, ToleranceUnreachable)
     at = alpha if fold is None else fold.dual
-    if 2.0 * at * (m_terms + 1) < n / 2 + 1:
-        raise modforms.MonotonicityViolated(
-            "m_terms too small for the tail majorization at this alpha"
-        )
-    a, b = entry.series_floats(m_terms + 1)
-    sa_terms = _series_terms(n, a, b, at, m_terms)[0]
-    partial = float(np.sum(sa_terms))
-    tail = 4.0 * at * at * entry.coeff_bound().series_tail(
-        m_terms + 1, at, extra_exponent=2
-    )
+    sa, sa_abs, _, _, envelopes = _kernel(entry, at, m_terms)
+    tail = _tails(entry, at, m_terms)[0]  # MonotonicityViolated for too few terms
     if fold is None:
-        return partial / denom, tail / denom
-    magnitude = float(np.sum(np.abs(sa_terms))) / denom
-    envelope = _envelopes(n, a, b, at, m_terms)[0] / denom
-    return fold.spectral(partial / denom, tail / denom, magnitude, envelope)
+        return sa / denom, tail / denom
+    return fold.spectral(sa / denom, tail / denom, sa_abs / denom, envelopes()[0] / denom)
 
 
 # ---------------------------------------------------------------------------

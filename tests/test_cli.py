@@ -48,9 +48,7 @@ def test_parse_alpha_and_tol_accept_exactly_finite_positive(value):
         ["analyze", "E8", "--tol", "-1e-10"],
         ["analyze", "E8", "--tol", "0"],
         ["dim16", "--tol", "nan"],
-        ["analyze", "E8", "--series-length", "-5"],
-        ["analyze", "E8", "--series-length", "0"],
-        ["sweep", "E8", "--start", "3", "--stop", "4", "--series-length", "2.5"],
+        ["analyze", "E8", "--series-length", "16"],  # no longer an option
         ["table24", "--paper-digits", "-1"],
     ],
 )
@@ -79,13 +77,6 @@ def test_tolerance_unreachable_exits_1(capsys):
     code, _, err = _run(capsys, ["analyze", "E8", "--alpha", "0.01"])
     assert code == 1
     assert "underflow" in err
-
-
-def test_sweep_passes_series_length(capsys):
-    code, _, err = _run(capsys, ["sweep", "Leech", "--start", "2", "--stop", "2.5",
-                                 "--steps", "2", "--series-length", "8"])
-    assert code == 1
-    assert "max_terms = 8" in err
 
 
 def test_sweep_shallow_range(capsys):

@@ -52,6 +52,18 @@ def test_shells_cached_and_indexed():
     assert not shell.vectors.flags.writeable
 
 
+def test_shell_cache_is_bounded():
+    cap = enumlat._SHELL_CACHE_SIZE
+    grams = [np.array([[2 * k, 1], [1, 2]], dtype=np.int64) for k in range(1, cap + 4)]
+    for g in grams:
+        enumlat.shells_up_to(g, 2)
+        assert len(enumlat._shell_cache) <= cap
+    assert len(enumlat._shell_cache) == cap
+    assert grams[0].tobytes() not in enumlat._shell_cache  # the oldest went first
+    newest = enumlat.shells_up_to(grams[-1], 2)
+    assert enumlat.shells_up_to(grams[-1], 1)[0] is newest[0]
+
+
 def test_scaled_square_lattice_by_hand():
     # a^2 + b^2 takes values 1, 2, 4, 5 with 4, 4, 4, 8 representations
     counts = enumlat.shell_counts(SCALED_Z2, 5)

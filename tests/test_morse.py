@@ -8,6 +8,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latmorse import latcat, modforms, morse, symspace
 
@@ -21,6 +23,9 @@ DIM16_ANCHORS = {
     ("E8^2", 24): 0.07899,
     ("E8^2", 120): 0.92480,
 }
+
+
+CRITICAL = [e for e in latcat.list_catalog() if morse.criticality(e).is_critical]
 
 
 def _line(report: morse.SpectrumReport, lam: int) -> morse.SpectralLine:
@@ -152,19 +157,91 @@ def test_spectrum_adaptive_terms():
     fast = morse.hessian_spectrum(latcat.get("E8"), ALPHA)
     assert fast.terms == 16
     assert fast.side == "direct"
-    # the doubling itself, on the unfolded kernel: Leech at alpha = 2 needs 32
-    unfolded = morse._spectrum(latcat.get("Leech"), 2.0, 1e-10, 4096, None)
-    assert unfolded.terms == 32
+    # the length rule on the unfolded kernel: Leech at alpha = 2 needs more than 16
+    unfolded = morse._spectrum(latcat.get("Leech"), 2.0, 1e-10, None)
+    assert unfolded.terms > 16
     assert unfolded.side == "direct"
+    assert all(line.error_radius <= 1e-10 for line in unfolded.lines)
 
 
 def test_tolerance_unreachable():
     with pytest.raises(morse.ToleranceUnreachable):
-        morse.hessian_spectrum(latcat.get("E8"), 0.001, max_terms=64)
+        morse.hessian_spectrum(latcat.get("E8"), 0.001)
     with pytest.raises(morse.ToleranceUnreachable):
-        morse.hessian_spectrum(latcat.get("E8"), ALPHA, tol=0.0, max_terms=32)
+        morse.hessian_spectrum(latcat.get("E8"), ALPHA, tol=0.0)
     with pytest.raises(ValueError):
         morse.hessian_spectrum(latcat.get("E8"), -1.0)
+
+
+def _widest_tail_part(entry, alpha, terms):
+    # the tail part of the widest direct error radius after `terms` terms
+    n = entry.dimension
+    widest = max(abs(lam * n * (n + 2) - 8 * entry.root_count)
+                 for lam, _ in morse._lambda_spectrum(entry))
+    a_tail, b_tail = morse._tails(entry, alpha, terms)
+    return (a_tail + widest * b_tail) / (n * (n + 2))
+
+
+@pytest.mark.parametrize(
+    "entry, alpha, tol",
+    # Leech at 2e-10: the tail part at 16 terms, 1.09e-10, lies in (tol/2, tol]
+    [(latcat.get("Leech"), 2.0, 1e-10), (latcat.get("Leech"), 2.0, 2e-10)]
+    + [(e, math.pi / 2, 1e-8) for e in CRITICAL],
+    ids=lambda v: getattr(v, "name", None),
+)
+def test_series_summed_once_at_shortest_length(entry, alpha, tol, monkeypatch):
+    lengths = []
+    series_floats = latcat.LatticeEntry.series_floats
+
+    def counted(self, length):
+        lengths.append(length)
+        return series_floats(self, length)
+
+    monkeypatch.setattr(latcat.LatticeEntry, "series_floats", counted)
+    report = morse._spectrum(entry, alpha, tol, None)
+    assert lengths == [report.terms + 1]
+    assert _widest_tail_part(entry, alpha, report.terms) <= tol / 2
+    if report.terms > morse._min_terms(entry.dimension, alpha):
+        assert _widest_tail_part(entry, alpha, report.terms - 1) > tol / 2
+    assert all(line.error_radius <= tol for line in report.lines)
+
+
+@pytest.mark.parametrize("entry", CRITICAL, ids=lambda e: e.name)
+@settings(max_examples=20, deadline=None)
+@given(alpha=st.floats(0.1, 4 * math.pi), tol=st.floats(1e-14, 1e-6))
+def test_sixteen_terms_or_roundoff_bound(entry, alpha, tol):
+    try:
+        report = morse.hessian_spectrum(entry, alpha, tol)
+    except morse.ToleranceUnreachable as exc:
+        assert "roundoff-bound" in str(exc)
+    else:
+        assert report.terms == 16
+        assert all(line.error_radius <= tol for line in report.lines)
+
+
+def test_unreachable_tol_raises_at_once():
+    e8 = latcat.get("E8")
+    for tol in (math.nan, 0.0, -1.0):
+        with pytest.raises(morse.ToleranceUnreachable, match="roundoff-bound"):
+            morse.hessian_spectrum(e8, ALPHA, tol)
+    # below what the tail bounds reach at any length
+    with pytest.raises(morse.ToleranceUnreachable, match="underflow"):
+        morse.hessian_spectrum(e8, ALPHA, 1e-320)
+    # reachable tails, but the roundoff part is far above tol
+    with pytest.raises(morse.ToleranceUnreachable, match="roundoff-bound.* at 114 series terms"):
+        morse.hessian_spectrum(e8, ALPHA, 1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+                 st.floats(max_value=0.0)))
+def test_alpha_must_be_positive_and_finite(alpha):
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        morse.hessian_spectrum(latcat.get("E8"), alpha)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        morse.noncritical_certificate(latcat.get("A1^8+A3^8"), alpha)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        morse.isotropic_hessian_series(latcat.get("Rootless32"), alpha)
 
 
 def test_not_critical_raises():
@@ -249,8 +326,8 @@ def test_fold_overlaps_direct_kernel():
         if not morse.criticality(entry).is_critical:
             continue
         for alpha in np.linspace(math.pi / 2, 2 * math.pi, 7):
-            direct = morse._spectrum(entry, alpha, 1e-8, 4096, None)
-            folded = morse._spectrum(entry, alpha, 1e-8, 4096, morse._dual_side(entry, alpha))
+            direct = morse._spectrum(entry, alpha, 1e-8, None)
+            folded = morse._spectrum(entry, alpha, 1e-8, morse._dual_side(entry, alpha))
             assert folded.side == "dual"
             assert (folded.classification, folded.morse_index) == (
                 direct.classification,
@@ -345,7 +422,13 @@ def test_spectrum_partial_consistency():
     report = morse.hessian_spectrum(entry, ALPHA)
     for line in report.lines:
         partial = morse.spectrum_partial(entry, ALPHA, line.q_eigenvalue, report.terms)
-        assert line.value == pytest.approx(partial, rel=1e-9)
+        assert line.value == partial
+    # one kernel behind all three
+    rootless = latcat.get("Rootless32")
+    report = morse.hessian_spectrum(rootless, ALPHA)
+    assert report.terms == 16
+    (line,) = report.lines
+    assert morse.isotropic_hessian_series(rootless, ALPHA, 16)[0] == line.value
 
 
 def test_spectrum_report_json():
