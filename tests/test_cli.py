@@ -48,7 +48,10 @@ def test_parse_alpha_and_tol_accept_exactly_finite_positive(value):
         ["analyze", "E8", "--tol", "-1e-10"],
         ["analyze", "E8", "--tol", "0"],
         ["dim16", "--tol", "nan"],
-        ["analyze", "E8", "--series-length", "16"],  # no longer an option
+        # --series-length is no longer an option; argparse rejects it outright
+        ["analyze", "E8", "--series-length", "-5"],
+        ["analyze", "E8", "--series-length", "0"],
+        ["sweep", "E8", "--start", "3", "--stop", "4", "--series-length", "2.5"],
         ["table24", "--paper-digits", "-1"],
     ],
 )
