@@ -336,14 +336,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, lattice_arg=False):
-        p.add_argument("--alpha", type=parse_alpha, default=math.pi,
-                       help="Gaussian parameter; 'pi' or a decimal (default pi)")
+    def common(p, lattice_arg=False, report=True):
+        # report=False (sweep): its own alpha grid, CSV only
+        if report:
+            p.add_argument("--alpha", type=parse_alpha, default=math.pi,
+                           help="Gaussian parameter; 'pi' or a decimal (default pi)")
+            p.add_argument("--format", choices=("markdown", "json"), default="markdown")
+            p.add_argument("--paper-digits", type=_int_at_least(0), default=None,
+                           help="truncate printed mu values to this many decimals")
         p.add_argument("--tol", type=parse_tol, default=1e-10,
                        help="target certified error radius per eigenvalue")
-        p.add_argument("--format", choices=("markdown", "json"), default="markdown")
-        p.add_argument("--paper-digits", type=_int_at_least(0), default=None,
-                       help="truncate printed mu values to this many decimals")
         if lattice_arg:
             p.add_argument("lattice", help="catalog name or root-system string")
             p.add_argument("--dim", type=int, default=None,
@@ -370,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dim32)
 
     p = sub.add_parser("sweep", help="spectrum across an alpha range, CSV")
-    common(p, lattice_arg=True)
+    common(p, lattice_arg=True, report=False)
     p.add_argument("--start", type=parse_alpha, required=True)
     p.add_argument("--stop", type=parse_alpha, required=True)
     p.add_argument("--steps", type=int, default=16)

@@ -41,9 +41,8 @@ CLASS_INDETERMINATE = "Indeterminate"
 
 _ROUNDOFF = 1e-13
 
-# unit roundoff of float64, and the relative error of the dual alpha' (see _Fold)
+# unit roundoff of float64
 _U = 2.0**-53
-_ARG_REL = 3 * _U
 
 # largest x = 2 alpha' m of the leading dual shell that the fold accepts: the
 # certified tails bottom out at modforms' exp floor e^-700 (just above the
@@ -81,78 +80,94 @@ def truncate_decimal(x: float, digits: int) -> float:
 
 @dataclass(frozen=True)
 class _Fold:
-    """The dual side alpha' = pi^2 / alpha of a request at alpha.
+    """The side ``at`` where a request at alpha sums its series.
 
     Every catalog lattice is unimodular, so Poisson summation gives
     E_alpha(e^(tH/2) L) = const + s E_alpha'(e^(-tH/2) L) with
     s = (pi/alpha)^(n/2): Hessian eigenvalues at alpha are s times those at
-    alpha', and the gradient pairing is -s times its dual.  For alpha < pi
-    the series at alpha' > pi converge fast (16 terms).
+    alpha' = pi^2 / alpha, and the gradient pairing is -s times its dual.
+    For alpha < pi the series at alpha' > pi converge fast (16 terms).
 
-    Error model, u = 2^-53.  ``dual`` = fl(fl(pi pi) / alpha) is within
-    _ARG_REL = 3u of pi^2 / alpha: math.pi is within 0.36u of pi, then two
-    roundings.  Partial sums take that into account through their envelopes;
-    the certified tails carry a 1e-9 inflation, above its effect on them:
-    2 alpha' M * 3u < 4e-12, since the fold sums at pi < alpha' <= 330 and
-    _truncation returns M <= max(17, 700 / alpha' + 1) there.
-    ``scale`` = fl(fl(pi / alpha)^(n/2)) is within (0.75 n + 2)u of s: the
-    input error grows n/2-fold, plus one ulp of pow.  ``rel`` = (n + 8)u adds
-    the rounding of the product with s and of the few operations that scale
-    a radius back.
+    At alpha >= pi the fold is the identity: at = alpha, scale = 1 and
+    rel = arg_rel = 0, so ``spectral`` and ``certificate`` return their
+    inputs bit for bit (1.0 v == v and 1.0 (1.0 + 0.0) (r + 0.0) == r).
+
+    Error model of the dual side, u = 2^-53.  ``at`` = fl(fl(pi pi) / alpha)
+    is within arg_rel = 3u of pi^2 / alpha: math.pi is within 0.36u of pi,
+    then two roundings.  Partial sums take that into account through their
+    envelopes; the certified tails carry a 1e-9 inflation, above its effect
+    on them: 2 alpha' M * 3u < 4e-12, since the fold sums at
+    pi < alpha' <= 330 and _truncation returns M <= max(17, 700 / alpha' + 1)
+    there.  ``scale`` = fl(fl(pi / alpha)^(n/2)) is within (0.75 n + 2)u of s:
+    the input error grows n/2-fold, plus one ulp of pow.  ``rel`` = (n + 8)u
+    adds the rounding of the product with s and of the few operations that
+    scale a radius back.
     """
 
-    dual: float
+    at: float
     scale: float
     rel: float
+    arg_rel: float
+
+    @property
+    def side(self) -> str:
+        """Where the series are summed: at alpha ("direct") or pi^2/alpha ("dual")."""
+        return "dual" if self.arg_rel else "direct"
 
     def spectral(self, value, radius, magnitude, envelope):
-        """(value, radius) at alpha from their dual-side values.
+        """(value, radius) at alpha from their values at ``at``.
 
-        ``magnitude`` bounds the dual |value| (its sum of absolute summands)
-        and carries the error of s; ``envelope`` bounds the change of the
-        dual value per unit relative change of alpha'.  Applied to a roundoff
-        part alone, it gives the part of the scaled radius that more terms
-        cannot reduce.
+        ``magnitude`` bounds |value| at ``at`` (its sum of absolute summands)
+        and carries the error of s; ``envelope`` bounds the change of that
+        value per unit relative change of alpha'.  Applied to a roundoff part
+        alone, it gives the part of the scaled radius that more terms cannot
+        reduce.
         """
-        extra = self.rel * magnitude + _ARG_REL * envelope
+        extra = self.rel * magnitude + self.arg_rel * envelope
         return self.scale * value, self.scale * (1.0 + self.rel) * (radius + extra)
 
     def certificate(self, root_term, remainder, terms):
         """(root term, remainder) at alpha, rounded down and up respectively.
 
-        The dual root term alpha' e^(-2 alpha') P and the summands of the
-        remainder through m = ``terms`` move by at most (2 alpha' terms + 1)
-        times a relative change of alpha'; the certified tail carries a 1e-9
+        The root term at e^(-2 at) P and the summands of the remainder
+        through m = ``terms`` move by at most (2 at terms + 1) times a
+        relative change of alpha'; the certified tail carries a 1e-9
         inflation, far above that.
         """
-        slack = self.rel + _ARG_REL * (2.0 * self.dual * terms + 1.0)
+        slack = self.rel + self.arg_rel * (2.0 * self.at * terms + 1.0)
         return self.scale * root_term * (1.0 - slack), self.scale * remainder * (1.0 + slack)
 
 
+def _direct_side(alpha: float) -> _Fold:
+    """The identity fold: sum at alpha itself."""
+    return _Fold(at=alpha, scale=1.0, rel=0.0, arg_rel=0.0)
+
+
 def _dual_side(entry: LatticeEntry, alpha: float) -> _Fold:
-    """Fold data for ``alpha``, on either side of pi."""
+    """The dual fold: sum at pi^2 / alpha, on either side of pi."""
     n = entry.dimension
     return _Fold(
-        dual=math.pi * math.pi / alpha,
+        at=math.pi * math.pi / alpha,
         scale=(math.pi / alpha) ** (n // 2),
         rel=(n + 8) * _U,
+        arg_rel=3 * _U,
     )
 
 
-def _fold(entry: LatticeEntry, alpha: float, error: type[Exception]) -> _Fold | None:
-    """Fold data below alpha = pi, None at and above it.
+def _fold(entry: LatticeEntry, alpha: float, error: type[Exception]) -> _Fold:
+    """The identity at and above alpha = pi, the dual fold below it.
 
     Raises ``error`` where the leading dual weight e^(-2 alpha' m) is too
     close to float64 underflow to resolve a sign: below alpha of about 0.03
     with roots, 0.06 without.
     """
     if alpha >= math.pi:
-        return None
+        return _direct_side(alpha)
     fold = _dual_side(entry, alpha)
     leading = next(m for m in range(1, entry.theta.length) if entry.theta.coeffs[m])
-    if 2.0 * fold.dual * leading > _LEADING_X_MAX:
+    if 2.0 * fold.at * leading > _LEADING_X_MAX:
         raise error(
-            f"underflow: alpha = {alpha:g} folds to pi^2/alpha = {fold.dual:g}, where "
+            f"underflow: alpha = {alpha:g} folds to pi^2/alpha = {fold.at:g}, where "
             "the leading shell's weight is too close to float64 underflow for a "
             "certified sign"
         )
@@ -320,10 +335,7 @@ def noncritical_certificate(
         raise CertificateFails("direction pairs to zero with the root-shell moment")
 
     fold = _fold(entry, alpha, CertificateFails)
-    where = f"alpha = {alpha:g}"
-    if fold is not None:
-        where += f" (summed at pi^2/alpha = {fold.dual:g})"
-    at = alpha if fold is None else fold.dual
+    at = fold.at
 
     root_term = at * math.exp(-2.0 * at) * root_pairing
 
@@ -342,9 +354,11 @@ def noncritical_certificate(
         "partial_sum": partial,
         "tail": tail,
     }
-    if fold is not None:
-        root_term, remainder = fold.certificate(root_term, remainder, exact_terms)
-        constants.update(dual_alpha=fold.dual, scale=fold.scale)
+    root_term, remainder = fold.certificate(root_term, remainder, exact_terms)
+    where = f"alpha = {alpha:g}"
+    if fold.side == "dual":
+        constants.update(dual_alpha=at, scale=fold.scale)
+        where += f" (summed at pi^2/alpha = {at:g})"
 
     cert = Certificate(
         lattice=entry.name,
@@ -555,23 +569,20 @@ def hessian_spectrum(entry: LatticeEntry, alpha: float, tol: float = 1e-10) -> S
     return _spectrum(entry, alpha, tol, _fold(entry, alpha, ToleranceUnreachable))
 
 
-def _spectrum(entry: LatticeEntry, alpha: float, tol: float, fold: _Fold | None) -> SpectrumReport:
-    """hessian_spectrum summed at alpha (fold None) or at fold.dual."""
+def _spectrum(entry: LatticeEntry, alpha: float, tol: float, fold: _Fold) -> SpectrumReport:
+    """hessian_spectrum summed at fold.at and scaled back through the fold."""
     n = entry.dimension
     a1 = entry.root_count
     denom = float(n * (n + 2))
     lam_rows = _lambda_spectrum(entry)
     widest = max(abs(lam * n * (n + 2) - 8 * a1) for lam, _ in lam_rows)
-    at = alpha if fold is None else fold.dual
 
     def tail_part(a_tail, b_tail):
-        part = (a_tail + widest * b_tail) / denom
-        return part if fold is None else fold.spectral(0.0, part, 0.0, 0.0)[1]
+        return fold.spectral(0.0, (a_tail + widest * b_tail) / denom, 0.0, 0.0)[1]
 
-    terms, a_tail, b_tail = _truncation(entry, at, tol, tail_part)
-    sa, sa_abs, sb, sb_abs, envelopes = _kernel(entry, at, terms)
-    if fold is not None:
-        ea, eb = envelopes()
+    terms, a_tail, b_tail = _truncation(entry, fold.at, tol, tail_part)
+    sa, sa_abs, sb, sb_abs, envelopes = _kernel(entry, fold.at, terms)
+    ea, eb = envelopes() if fold.arg_rel else (0.0, 0.0)
     lines = []
     for lam, mult in lam_rows:
         coef = lam * n * (n + 2) - 8 * a1
@@ -580,8 +591,7 @@ def _spectrum(entry: LatticeEntry, alpha: float, tol: float, fold: _Fold | None)
         mu = (sa + coef * sb) / denom
         abs_sum = sa_abs + abs(coef) * sb_abs
         radius = (a_tail + abs(coef) * b_tail + _ROUNDOFF * abs_sum) / denom
-        if fold is not None:
-            mu, radius = fold.spectral(mu, radius, abs_sum / denom, (ea + abs(coef) * eb) / denom)
+        mu, radius = fold.spectral(mu, radius, abs_sum / denom, (ea + abs(coef) * eb) / denom)
         lines.append(
             SpectralLine(q_eigenvalue=lam, multiplicity=mult, value=mu, error_radius=radius)
         )
@@ -603,7 +613,7 @@ def _spectrum(entry: LatticeEntry, alpha: float, tol: float, fold: _Fold | None)
         classification=classification,
         morse_index=index,
         margin=margin,
-        side="direct" if fold is None else "dual",
+        side=fold.side,
     )
 
 
@@ -658,12 +668,10 @@ def isotropic_hessian_series(
     n = entry.dimension
     denom = float(n * (n + 2))
     fold = _fold(entry, alpha, ToleranceUnreachable)
-    at = alpha if fold is None else fold.dual
-    sa, sa_abs, _, _, envelopes = _kernel(entry, at, m_terms)
-    tail = _tails(entry, at, m_terms)[0]  # MonotonicityViolated for too few terms
-    if fold is None:
-        return sa / denom, tail / denom
-    return fold.spectral(sa / denom, tail / denom, sa_abs / denom, envelopes()[0] / denom)
+    sa, sa_abs, _, _, envelopes = _kernel(entry, fold.at, m_terms)
+    tail = _tails(entry, fold.at, m_terms)[0]  # MonotonicityViolated for too few terms
+    envelope = envelopes()[0] / denom if fold.arg_rel else 0.0
+    return fold.spectral(sa / denom, tail / denom, sa_abs / denom, envelope)
 
 
 # ---------------------------------------------------------------------------

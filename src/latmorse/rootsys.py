@@ -16,6 +16,7 @@ rank-n linear algebra happens in R^n regardless of the ambient model.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,13 +31,6 @@ class InvalidRank(ValueError):
 
 class DimensionMismatch(ValueError):
     pass
-
-
-_WEYL = {
-    "E6": 51840,
-    "E7": 2903040,
-    "E8": 696729600,
-}
 
 
 @dataclass(frozen=True)
@@ -134,8 +128,17 @@ class IrreducibleRootSystem:
         return _doubled_roots(self.kind, self.rank)
 
     @property
+    def coxeter_number(self) -> int:
+        if self.kind == "A":
+            return self.rank + 1
+        if self.kind == "D":
+            return 2 * (self.rank - 1)
+        return {6: 12, 7: 18, 8: 30}[self.rank]
+
+    @property
     def count(self) -> int:
-        return int(self.doubled_roots.shape[0])
+        """h * rank, as for every A/D/E system; no root is enumerated."""
+        return self.coxeter_number * self.rank
 
     @cached_property
     def roots(self) -> list[tuple[Fraction, ...]]:
@@ -185,52 +188,22 @@ class IrreducibleRootSystem:
 @lru_cache(maxsize=None)
 def make_irreducible(kind: str, rank: int) -> IrreducibleRootSystem:
     kind = kind.upper()
-    if kind == "A" and rank >= 1:
-        pass
-    elif kind == "D" and rank >= 4:
-        pass
-    elif kind == "E" and rank in (6, 7, 8):
-        pass
-    else:
+    if not ((kind == "A" and rank >= 1) or (kind == "D" and rank >= 4)
+            or (kind == "E" and rank in (6, 7, 8))):
         raise InvalidRank(f"no irreducible system {kind}{rank}")
-    system = IrreducibleRootSystem(kind, rank)
-    system.doubled_roots  # force validation of the construction
-    return system
+    return IrreducibleRootSystem(kind, rank)
 
 
 def properties(system: IrreducibleRootSystem) -> RootSystemProperties:
-    """Closed-form shell invariants; the count is cross-checked on the roots."""
+    """Closed-form shell invariants, none of them read off the roots."""
     k, n = system.kind, system.rank
     if k == "A":
-        props = RootSystemProperties(
-            count=n * (n + 1),
-            coxeter_number=n + 1,
-            orthogonal_count=(n - 1) * (n - 2),
-            unit_pair_count=2 * (n - 1),
-            weyl_order=_factorial(n + 1),
-        )
+        n0, n1, weyl = (n - 1) * (n - 2), 2 * (n - 1), math.factorial(n + 1)
     elif k == "D":
-        props = RootSystemProperties(
-            count=2 * n * (n - 1),
-            coxeter_number=2 * (n - 1),
-            orthogonal_count=2 * (n * n - 5 * n + 7),
-            unit_pair_count=4 * (n - 2),
-            weyl_order=2 ** (n - 1) * _factorial(n),
-        )
+        n0, n1, weyl = 2 * (n * n - 5 * n + 7), 4 * (n - 2), 2 ** (n - 1) * math.factorial(n)
     else:
-        counts = {6: (72, 12, 30, 20), 7: (126, 18, 60, 32), 8: (240, 30, 126, 56)}
-        c, h, n0, n1 = counts[n]
-        props = RootSystemProperties(c, h, n0, n1, _WEYL[f"E{n}"])
-    assert props.count == system.count
-    assert props.count == props.coxeter_number * n
-    return props
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+        n0, n1, weyl = {6: (30, 20, 51840), 7: (60, 32, 2903040), 8: (126, 56, 696729600)}[n]
+    return RootSystemProperties(system.count, system.coxeter_number, n0, n1, weyl)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +227,7 @@ class RootSystem:
 
     @cached_property
     def coxeter_numbers(self) -> tuple[int, ...]:
-        return tuple(properties(c).coxeter_number for c in self.components)
+        return tuple(c.coxeter_number for c in self.components)
 
     @property
     def equal_coxeter(self) -> bool:
@@ -313,13 +286,19 @@ def empty_root_system() -> RootSystem:
 
 _TOKEN = re.compile(r"^([ADE])(\d+)(?:\^(\d+))?$", re.IGNORECASE)
 
+# the largest dimension of any lattice the package handles
+_MAX_TOTAL_RANK = 32
+
 
 def parse_root_system(text: str) -> RootSystem:
-    """Parse strings like ``A1^24``, ``A5^4+D4``, ``E8^3`` (case-insensitive)."""
+    """Parse strings like ``A1^24``, ``A5^4+D4``, ``E8^3`` (case-insensitive).
+
+    A total rank above 32 is rejected before any component is built.
+    """
     parts = [p.strip() for p in text.split("+")]
     if not parts or any(not p for p in parts):
         raise ValueError(f"malformed root-system string: {text!r}")
-    comps: list[IrreducibleRootSystem] = []
+    tokens: list[tuple[str, int, int]] = []
     for part in parts:
         match = _TOKEN.match(part)
         if match is None:
@@ -328,8 +307,15 @@ def parse_root_system(text: str) -> RootSystem:
         reps = int(reps) if reps else 1
         if reps < 1:
             raise ValueError(f"repeat count must be positive in {part!r}")
-        comps.extend([make_irreducible(kind, rank)] * reps)
-    return direct_sum(comps)
+        tokens.append((kind, rank, reps))
+    total = sum(rank * reps for _, rank, reps in tokens)
+    if total > _MAX_TOTAL_RANK:
+        raise ValueError(
+            f"{text!r} has total rank {total}, above {_MAX_TOTAL_RANK}, the largest "
+            "lattice dimension"
+        )
+    return direct_sum(make_irreducible(kind, rank) for kind, rank, reps in tokens
+                      for _ in range(reps))
 
 
 # ---------------------------------------------------------------------------
@@ -357,5 +343,5 @@ def verify_moment_identity(system: IrreducibleRootSystem) -> bool:
     """Exact check that sum x x^T acts as 2h on every root (integer arithmetic)."""
     r2 = system.doubled_roots
     s2 = r2.T @ r2  # equals 4 * sum x x^T
-    h = properties(system).coxeter_number
+    h = system.coxeter_number
     return bool(np.array_equal(s2 @ r2.T, 8 * h * r2.T))

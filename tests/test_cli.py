@@ -71,6 +71,26 @@ def test_inconsistent_root_count_exits_2(root_count, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("option", [["--alpha", "7"], ["--paper-digits", "2"],
+                                    ["--format", "json"]])
+def test_sweep_rejects_report_options(option, capsys):
+    # sweep prints CSV over its own alpha grid and takes none of these
+    with pytest.raises(SystemExit) as info:
+        cli.main(["sweep", "E8", "--start", "3", "--stop", "3.5", "--steps", "2", *option])
+    assert info.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lattice", ["E8^20000000", "A300", "A1^33", "A1^8+A3^8+E8"])
+def test_oversized_root_string_exits_2(lattice, capsys):
+    # the total rank is checked before any component is built
+    code, out, err = _run(capsys, ["analyze", lattice, "--dim", "32"])
+    assert code == 2
+    assert out == ""
+    assert "above 32" in err
+    assert "Traceback" not in err
+
+
 def test_tolerance_unreachable_exits_1(capsys):
     code, out, err = _run(capsys, ["analyze", "D24", "--tol", "1e-13"])
     assert code == 1

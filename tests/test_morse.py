@@ -158,7 +158,7 @@ def test_spectrum_adaptive_terms():
     assert fast.terms == 16
     assert fast.side == "direct"
     # the length rule on the unfolded kernel: Leech at alpha = 2 needs more than 16
-    unfolded = morse._spectrum(latcat.get("Leech"), 2.0, 1e-10, None)
+    unfolded = morse._spectrum(latcat.get("Leech"), 2.0, 1e-10, morse._direct_side(2.0))
     assert unfolded.terms > 16
     assert unfolded.side == "direct"
     assert all(line.error_radius <= 1e-10 for line in unfolded.lines)
@@ -198,7 +198,7 @@ def test_series_summed_once_at_shortest_length(entry, alpha, tol, monkeypatch):
         return series_floats(self, length)
 
     monkeypatch.setattr(latcat.LatticeEntry, "series_floats", counted)
-    report = morse._spectrum(entry, alpha, tol, None)
+    report = morse._spectrum(entry, alpha, tol, morse._direct_side(alpha))
     assert lengths == [report.terms + 1]
     assert _widest_tail_part(entry, alpha, report.terms) <= tol / 2
     if report.terms > morse._min_terms(entry.dimension, alpha):
@@ -326,7 +326,7 @@ def test_fold_overlaps_direct_kernel():
         if not morse.criticality(entry).is_critical:
             continue
         for alpha in np.linspace(math.pi / 2, 2 * math.pi, 7):
-            direct = morse._spectrum(entry, alpha, 1e-8, None)
+            direct = morse._spectrum(entry, alpha, 1e-8, morse._direct_side(alpha))
             folded = morse._spectrum(entry, alpha, 1e-8, morse._dual_side(entry, alpha))
             assert folded.side == "dual"
             assert (folded.classification, folded.morse_index) == (
@@ -336,6 +336,29 @@ def test_fold_overlaps_direct_kernel():
             for d, f in zip(direct.lines, folded.lines, strict=True):
                 assert d.q_eigenvalue == f.q_eigenvalue
                 assert abs(d.value - f.value) <= d.error_radius + f.error_radius
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entry=st.sampled_from(latcat.list_catalog()),
+    alpha=st.floats(min_value=0.07, max_value=1e6),  # above the underflow guard
+    floats=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=5, max_size=5),
+    terms=st.integers(min_value=1, max_value=1000),
+)
+def test_fold_is_identity_at_and_above_pi(entry, alpha, floats, terms):
+    # alpha >= pi sums at alpha itself and scales back by nothing, bit for bit
+    if alpha < math.pi:
+        assert morse._fold(entry, alpha, ValueError).side == "dual"
+        return
+    fold = morse._fold(entry, alpha, ValueError)
+    assert (fold.at, fold.side) == (alpha, "direct")
+    value, radius, magnitude, envelope, remainder = floats
+    radius, magnitude, envelope = abs(radius), abs(magnitude), abs(envelope)
+    for got, want in (
+        (fold.spectral(value, radius, magnitude, envelope), (value, radius)),
+        (fold.certificate(value, remainder, terms), (value, remainder)),
+    ):
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 @pytest.mark.parametrize(

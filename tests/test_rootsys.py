@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from latmorse import rootsys
+from latmorse import latcat, rootsys
 
 KNOWN_COUNTS = {
     ("A", 1): 2,
@@ -32,6 +32,24 @@ def test_known_counts():
         system = rootsys.make_irreducible(kind, rank)
         assert system.count == count
         assert rootsys.properties(system).count == count
+
+
+IRREDUCIBLES = ([("A", n) for n in range(1, 25)] + [("D", n) for n in range(4, 25)]
+                + [("E", n) for n in (6, 7, 8)])
+
+
+@pytest.mark.parametrize("kind, rank", IRREDUCIBLES, ids=lambda v: str(v))
+def test_closed_form_count_matches_roots(kind, rank):
+    system = rootsys.make_irreducible(kind, rank)
+    assert len(system.doubled_roots) == system.count
+    assert system.count == system.coxeter_number * rank
+
+
+def test_catalog_build_enumerates_no_roots():
+    for cached in (latcat._catalog, rootsys.make_irreducible, rootsys._doubled_roots):
+        cached.cache_clear()
+    assert len(latcat.list_catalog()) == 29
+    assert rootsys._doubled_roots.cache_info().misses == 0
 
 
 def test_coxeter_numbers():
