@@ -41,13 +41,11 @@ def parse_tol(text: str) -> float:
     return _positive_finite("tol", text)
 
 
-def _int_at_least(low: int):
-    """argparse type for a decimal integer >= low, for low >= 0."""
-    def parse(text: str) -> int:
-        if not text.strip().isdecimal() or int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
-        return int(text)
-    return parse
+def _nonnegative_int(text: str) -> int:
+    """argparse type for a decimal integer >= 0."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _fmt(x: float, digits: int | None) -> str:
@@ -101,6 +99,19 @@ def _print_spectrum(report: morse.SpectrumReport, digits: int | None) -> None:
           f"margin {report.margin!r}")
 
 
+def _status(reports) -> int:
+    """0 when every line of every report has a certified sign; otherwise the
+    first undecided line goes to stderr and the status is 1."""
+    for report in reports:
+        for line in report.lines:
+            if line.sign == 0:
+                print(f"indeterminate: {report.lattice} at alpha = {report.alpha!r}: "
+                      f"mu(lambda={line.q_eigenvalue}) = {line.value!r} is within its "
+                      f"error radius {line.error_radius:.3g}", file=sys.stderr)
+                return 1
+    return 0
+
+
 def _certificate_dict(cert: morse.Certificate) -> dict:
     return {
         "lattice": cert.lattice,
@@ -144,12 +155,8 @@ def cmd_analyze(args) -> int:
         else:
             print(f"critical at every alpha: yes ({crit.reason})")
             _print_spectrum(report, args.paper_digits)
-        return 0 if report.classification != morse.CLASS_INDETERMINATE else 1
-    try:
-        cert = morse.noncritical_certificate(entry, alpha)
-    except morse.CertificateFails as exc:
-        print(f"certificate failed: {exc}", file=sys.stderr)
-        return 1
+        return _status([report])
+    cert = morse.noncritical_certificate(entry, alpha)
     if args.format == "json":
         payload = _certificate_dict(cert)
         payload["criticality"] = crit.kind
@@ -171,7 +178,7 @@ def cmd_table24(args) -> int:
     digits = args.paper_digits if args.paper_digits is not None else 4
     if args.format == "json":
         print(json.dumps([r.to_json_dict() for r in reports], indent=2))
-        return 0
+        return _status(reports)
     rows = []
     for entry, report in zip(entries, reports):
         for line in report.lines:
@@ -188,7 +195,7 @@ def cmd_table24(args) -> int:
     print(_markdown_table(
         ["lattice", "roots", "h", "lambda", "multiplicity", "mu"], rows
     ))
-    return 0
+    return _status(reports)
 
 
 def cmd_dim16(args) -> int:
@@ -203,28 +210,18 @@ def cmd_dim16(args) -> int:
         for report in reports:
             _print_spectrum(report, args.paper_digits)
             print()
-    failures = sum(
-        r.classification == morse.CLASS_INDETERMINATE for r in reports
-    )
-    return 1 if failures else 0
+    return _status(reports)
 
 
 def cmd_dim32(args) -> int:
     alpha = args.alpha
-    status = 0
-
     rootless = latcat.get("Rootless32")
     partial, tail = morse.isotropic_hessian_series(rootless, alpha, m_terms=8)
     report = morse.hessian_spectrum(rootless, alpha, tol=args.tol)
-    status |= int(report.classification == morse.CLASS_INDETERMINATE)
 
     defected = latcat.get("A1^8+A3^8")
     crit = morse.criticality(defected)
-    try:
-        cert = morse.noncritical_certificate(defected, args.cert_alpha)
-    except morse.CertificateFails as exc:
-        print(f"certificate failed: {exc}", file=sys.stderr)
-        return 1
+    cert = morse.noncritical_certificate(defected, args.cert_alpha)
 
     if args.format == "json":
         spectrum_payload = report.to_json_dict()
@@ -243,7 +240,7 @@ def cmd_dim32(args) -> int:
         print(f"{defected.name}: root-shell blocks {_block_summary(crit)} "
               f"against isotropic target {crit.target}")
         _print_certificate(cert)
-    return status
+    return _status([report])
 
 
 def cmd_sweep(args) -> int:
@@ -342,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--alpha", type=parse_alpha, default=math.pi,
                            help="Gaussian parameter; 'pi' or a decimal (default pi)")
             p.add_argument("--format", choices=("markdown", "json"), default="markdown")
-            p.add_argument("--paper-digits", type=_int_at_least(0), default=None,
+            p.add_argument("--paper-digits", type=_nonnegative_int, default=None,
                            help="truncate printed mu values to this many decimals")
         p.add_argument("--tol", type=parse_tol, default=1e-10,
                        help="target certified error radius per eigenvalue")
@@ -395,6 +392,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except morse.ToleranceUnreachable as exc:
         print(f"tolerance unreachable: {exc}", file=sys.stderr)
+        return 1
+    except morse.CertificateFails as exc:
+        print(f"certificate failed: {exc}", file=sys.stderr)
         return 1
     except (latcat.UnknownLattice, ValueError) as exc:
         # KeyError str() wraps the message in quotes; unwrap for the terminal

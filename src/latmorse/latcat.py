@@ -182,9 +182,9 @@ def make_entry(
     return _entry(name, n, system)
 
 
-def entry_summary(entry: LatticeEntry, theta_terms: int = 16) -> dict:
-    """JSON-ready description: identity, root data, leading theta coefficients."""
-    coeffs = [int(c) for c in entry.theta.coeffs[:theta_terms]]
+def entry_summary(entry: LatticeEntry) -> dict:
+    """JSON-ready description: identity, root data, first 16 theta coefficients."""
+    coeffs = [int(c) for c in entry.theta.coeffs[:16]]
     return {
         "name": entry.name,
         "dimension": entry.dimension,

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import enumlat, modforms, symspace
 from .latcat import LatticeEntry
-from .rootsys import second_moment
+from .rootsys import second_moment, second_moment_blocks
 
 CLASS_LOCAL_MIN = "LocalMin"
 CLASS_LOCAL_MAX = "LocalMax"
@@ -43,6 +43,11 @@ _ROUNDOFF = 1e-13
 
 # unit roundoff of float64
 _U = 2.0**-53
+
+# m <= _EXACT_TERMS summed exactly in a certificate; the tail bound beyond
+# needs 2 at (_EXACT_TERMS + 1) >= 16, which holds at every at >= pi a
+# certificate sums at
+_EXACT_TERMS = 8
 
 # largest x = 2 alpha' m of the leading dual shell that the fold accepts: the
 # certified tails bottom out at modforms' exp floor e^-700 (just above the
@@ -201,20 +206,22 @@ class CriticalityResult:
         return self.kind == "critical_all_alpha"
 
 
+@lru_cache(maxsize=64)
 def criticality(entry: LatticeEntry) -> CriticalityResult:
     """Decide whether the lattice is a critical point at every alpha.
 
     The decision is exact: rational block moments against the rational
     target.  A nonzero defect comes with a traceless block-diagonal witness
     direction along which the gradient does not vanish for generic alpha
-    (``noncritical_certificate`` pins it down at a specific alpha).
+    (``noncritical_certificate`` pins it down at a specific alpha).  Cached
+    per entry; the result is immutable and its witness read-only.
     """
     n = entry.dimension
     system = entry.root_system
     target = Fraction(2 * entry.root_count, n)
     blocks: list[tuple[int, Fraction]] = [
-        (comp.rank, Fraction(2 * comp_h))
-        for comp, comp_h in zip(system.components, system.coxeter_numbers)
+        (comp.rank, Fraction(moment))
+        for comp, moment in zip(system.components, second_moment_blocks(system))
     ]
     uncovered = n - system.total_rank
     if uncovered:
@@ -275,26 +282,24 @@ class Certificate:
     direction: np.ndarray
     root_term: float
     remainder: float
-    exact_terms: int
     constants: dict
+
+    @property
+    def exact_terms(self) -> int:
+        return _EXACT_TERMS
 
     @property
     def margin(self) -> float:
         return self.root_term - self.remainder
 
 
-def noncritical_certificate(
-    entry: LatticeEntry,
-    alpha: float,
-    direction=None,
-    exact_terms: int = 8,
-) -> Certificate:
+def noncritical_certificate(entry: LatticeEntry, alpha: float, direction=None) -> Certificate:
     """Certify <grad E, H> != 0 at this alpha, proving the point noncritical.
 
     The pairing is -alpha sum_m e^(-2 alpha m) <H, S_m> with S_m the shell
     second moment.  The m = 1 term is computed exactly; |<H, S_m>| for m >= 2
-    is bounded by max|eig H| * 2m * a_m, summed exactly up to ``exact_terms``
-    and closed with the certified theta coefficient tail.  Below alpha = pi
+    is bounded by max|eig H| * 2m * a_m, summed exactly up to m = 8 and
+    closed with the certified theta coefficient tail.  Below alpha = pi
     the pairing is evaluated at pi^2 / alpha, where it is -1/s times the one
     at alpha, and root term and remainder are scaled back by s (see _Fold).
     Raises CertificateFails when the root term does not dominate.
@@ -339,14 +344,10 @@ def noncritical_certificate(
 
     root_term = at * math.exp(-2.0 * at) * root_pairing
 
-    # the tail bound needs its start past k/(2 alpha); extend the exact range
-    # rather than leak a precondition error
-    k_max = max(e for _, e in entry.coeff_bound().terms) + 1
-    exact_terms = max(exact_terms, math.ceil(k_max / (2.0 * at)))
-    a = entry.series_floats(exact_terms + 1)[0]
-    m = np.arange(2, exact_terms + 1)
-    partial = float(np.sum(a[2:] * 2.0 * m * np.exp(-2.0 * at * m)))
-    tail = 2.0 * entry.coeff_bound().series_tail(exact_terms + 1, at, extra_exponent=1)
+    a = entry.series_floats(_EXACT_TERMS + 1)[0][2 : _EXACT_TERMS + 1]
+    m = np.arange(2, _EXACT_TERMS + 1)
+    partial = float(np.sum(a * 2.0 * m * np.exp(-2.0 * at * m)))
+    tail = 2.0 * entry.coeff_bound().series_tail(_EXACT_TERMS + 1, at, extra_exponent=1)
     remainder = at * max_eig * (partial * (1.0 + _ROUNDOFF) + tail)
     constants = {
         "root_pairing": root_pairing,
@@ -354,7 +355,7 @@ def noncritical_certificate(
         "partial_sum": partial,
         "tail": tail,
     }
-    root_term, remainder = fold.certificate(root_term, remainder, exact_terms)
+    root_term, remainder = fold.certificate(root_term, remainder, _EXACT_TERMS)
     where = f"alpha = {alpha:g}"
     if fold.side == "dual":
         constants.update(dual_alpha=at, scale=fold.scale)
@@ -366,7 +367,6 @@ def noncritical_certificate(
         direction=direction,
         root_term=root_term,
         remainder=remainder,
-        exact_terms=exact_terms,
         constants=constants,
     )
     if not root_term > remainder:
@@ -439,8 +439,9 @@ class SpectrumReport:
         }
 
 
+@lru_cache(maxsize=64)
 def _lambda_spectrum(entry: LatticeEntry) -> tuple[tuple[int, int], ...]:
-    """(lambda, multiplicity) rows of the root-shell quartic form Q."""
+    """(lambda, multiplicity) rows of the root-shell quartic form Q, cached per entry."""
     n = entry.dimension
     if entry.root_count == 0:
         return ((0, n * (n + 1) // 2 - 1),)

@@ -19,7 +19,6 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -27,10 +26,6 @@ import numpy as np
 
 class InvalidRank(ValueError):
     """Rank outside the family's defined range."""
-
-
-class DimensionMismatch(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -139,11 +134,6 @@ class IrreducibleRootSystem:
     def count(self) -> int:
         """h * rank, as for every A/D/E system; no root is enumerated."""
         return self.coxeter_number * self.rank
-
-    @cached_property
-    def roots(self) -> list[tuple[Fraction, ...]]:
-        half = Fraction(1, 2)
-        return [tuple(half * int(c) for c in row) for row in self.doubled_roots]
 
     @cached_property
     def frame(self) -> np.ndarray:
@@ -262,10 +252,6 @@ class RootSystem:
             at += comp.count
         rows.setflags(write=False)
         return rows
-
-    def blocks(self):
-        """Yield (component, rank offset) pairs."""
-        return zip(self.components, self.rank_offsets)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.name}, rank {self.total_rank})"

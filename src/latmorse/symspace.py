@@ -22,12 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rootsys import (
-    IrreducibleRootSystem,
-    RootSystem,
-    direct_sum,
-    properties,
-)
+from .rootsys import IrreducibleRootSystem, RootSystem, direct_sum
 
 CLUSTER_TOL = 1e-6
 
@@ -132,12 +127,6 @@ class QSpectrum:
     @property
     def multiplicity_total(self) -> int:
         return sum(m for _, m in self.entries)
-
-    def eigenvalues(self) -> list[float]:
-        return [lam for lam, _ in self.entries]
-
-    def as_dict(self) -> dict[float, int]:
-        return {lam: m for lam, m in self.entries}
 
 
 def _component_rows(comp: IrreducibleRootSystem) -> list[tuple[int, int]]:

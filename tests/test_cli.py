@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latmorse import cli
+from latmorse import cli, morse
 
 
 def _run(capsys, argv):
@@ -100,6 +100,23 @@ def test_tolerance_unreachable_exits_1(capsys):
     code, _, err = _run(capsys, ["analyze", "E8", "--alpha", "0.01"])
     assert code == 1
     assert "underflow" in err
+
+
+@pytest.mark.parametrize("argv", [["analyze", "E8"], ["table24"], ["table24", "--format", "json"],
+                                  ["dim16"], ["dim32"]])
+def test_undecided_sign_exits_1_with_one_line(argv, capsys, monkeypatch):
+    def undecided(entry, alpha, tol=1e-10):
+        line = morse.SpectralLine(q_eigenvalue=0, multiplicity=1, value=0.0, error_radius=1e-9)
+        return morse.SpectrumReport(lattice=entry.name, alpha=alpha, terms=16, lines=(line,),
+                                    classification=morse.CLASS_INDETERMINATE,
+                                    morse_index=None, margin=-1e-9)
+
+    monkeypatch.setattr(morse, "hessian_spectrum", undecided)
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out
+    assert len(err.splitlines()) == 1
+    assert err.startswith("indeterminate: ")
 
 
 def test_sweep_shallow_range(capsys):

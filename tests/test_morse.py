@@ -275,6 +275,34 @@ def test_certificate_user_direction():
     assert cert.remainder < cert.root_term
 
 
+def test_certificate_reads_only_the_terms_it_sums(monkeypatch):
+    # series_floats may return rows longer than asked for
+    entry = latcat.get("A1^8+A3^8")
+    plain = morse.noncritical_certificate(entry, 14.0)
+    series_floats = latcat.LatticeEntry.series_floats
+    monkeypatch.setattr(latcat.LatticeEntry, "series_floats",
+                        lambda self, length: series_floats(self, max(length, 64)))
+    padded = morse.noncritical_certificate(entry, 14.0)
+    assert (padded.root_term, padded.remainder) == (plain.root_term, plain.remainder)
+    assert padded.constants == plain.constants
+
+
+def test_entry_only_work_done_once_per_entry(monkeypatch):
+    entry = latcat.make_entry("D16", 16)
+    calls = []
+    closed_spectrum = symspace.closed_spectrum
+
+    def counted(system):
+        calls.append(system)
+        return closed_spectrum(system)
+
+    monkeypatch.setattr(symspace, "closed_spectrum", counted)
+    for alpha in (ALPHA, 5.0, 7.5, ALPHA):
+        morse.hessian_spectrum(entry, alpha)
+    assert len(calls) == 1
+    assert morse.criticality(entry) is morse.criticality(entry)
+
+
 def test_certificate_failure_modes():
     defective = latcat.get("A1^8+A3^8")
     with pytest.raises(morse.CertificateFails):
