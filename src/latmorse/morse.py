@@ -168,15 +168,16 @@ def _fold(entry: LatticeEntry, alpha: float, error: type[Exception]) -> _Fold:
     """
     if alpha >= math.pi:
         return _direct_side(alpha)
-    fold = _dual_side(entry, alpha)
+    # before _dual_side: far enough below, its scale (pi/alpha)^(n/2) overflows
+    at = math.pi * math.pi / alpha
     leading = next(m for m in range(1, entry.theta.length) if entry.theta.coeffs[m])
-    if 2.0 * fold.at * leading > _LEADING_X_MAX:
+    if 2.0 * at * leading > _LEADING_X_MAX:
         raise error(
-            f"underflow: alpha = {alpha:g} folds to pi^2/alpha = {fold.at:g}, where "
+            f"underflow: alpha = {alpha:g} folds to pi^2/alpha = {at:g}, where "
             "the leading shell's weight is too close to float64 underflow for a "
             "certified sign"
         )
-    return fold
+    return _dual_side(entry, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +345,8 @@ def noncritical_certificate(entry: LatticeEntry, alpha: float, direction=None) -
 
     root_term = at * math.exp(-2.0 * at) * root_pairing
 
-    a = entry.series_floats(_EXACT_TERMS + 1)[0][2 : _EXACT_TERMS + 1]
-    m = np.arange(2, _EXACT_TERMS + 1)
-    partial = float(np.sum(a * 2.0 * m * np.exp(-2.0 * at * m)))
+    a = entry.series_floats(_EXACT_TERMS + 1)[0][: _EXACT_TERMS + 1].tolist()
+    partial = math.fsum(a[m] * 2.0 * m * math.exp(-2.0 * at * m) for m in range(2, len(a)))
     tail = 2.0 * entry.coeff_bound().series_tail(_EXACT_TERMS + 1, at, extra_exponent=1)
     remainder = at * max_eig * (partial * (1.0 + _ROUNDOFF) + tail)
     constants = {
@@ -479,28 +479,36 @@ def _min_terms(n: int, alpha: float) -> int:
 
 
 def _kernel(entry: LatticeEntry, at: float, terms: int):
-    """(Sa, sum |Sa summands|, Sb, sum |Sb summands|, envelopes) over m = 1..terms:
-    summands a_m x (x - c) e^-x and b_m (at^2 / 2) e^-x, x = 2 at m, c = n/2 + 1.
+    """(Sa, sum |Sa summands|, Sb, sum |Sb summands|, Ea, Eb), one fsum each, over
+    m = 1..terms of a_m x (x - c) e^-x and b_m (at^2 / 2) e^-x, x = 2 at m, c = n/2 + 1.
 
-    ``envelopes()`` bounds |d Sa / d log at| and |d Sb / d log at| for _Fold:
+    Ea and Eb bound |d Sa / d log at| and |d Sb / d log at| for _Fold:
     |x d/dx [x (x - c) e^-x]| <= (x + 2) x (x + c) e^-x and
     |at d/d at [at^2 e^-x]| <= (x + 2) at^2 e^-x.
     """
     c = entry.dimension / 2 + 1
-    a, b = entry.series_floats(terms + 1)
-    a, b = a[1 : terms + 1], b[1 : terms + 1]
-    x = 2.0 * at * np.arange(1, terms + 1, dtype=float)
-    w = np.exp(-x)
-    sa_terms = a * x * (x - c) * w
-    sb_terms = b * (at * at / 2.0) * w
-
-    def envelopes() -> tuple[float, float]:
+    h = at * at / 2.0
+    a, b = (row[1 : terms + 1].tolist() for row in entry.series_floats(terms + 1))
+    rows = [(0.0, 0.0, 0.0, 0.0)]  # adds nothing, and keeps zip(*rows) four wide at terms = 0
+    for m, am, bm in zip(range(1, terms + 1), a, b):
+        x = 2.0 * at * m
+        w = math.exp(-x)
         v = (x + 2.0) * w
-        return (float(np.sum(np.abs(a) * x * (x + c) * v)),
-                float(np.sum(np.abs(b) * (at * at / 2.0) * v)))
+        rows.append((am * x * (x - c) * w, bm * h * w, abs(am) * x * (x + c) * v, abs(bm) * h * v))
+    sa, sb, ea, eb = zip(*rows)
+    return (math.fsum(sa), math.fsum(map(abs, sa)), math.fsum(sb), math.fsum(map(abs, sb)),
+            math.fsum(ea), math.fsum(eb))
 
-    return (float(np.sum(sa_terms)), float(np.sum(np.abs(sa_terms))),
-            float(np.sum(sb_terms)), float(np.sum(np.abs(sb_terms))), envelopes)
+
+def _eigenvalue(fold: _Fold, n: int, sums, tails, coef: int) -> tuple[float, float]:
+    """(mu, radius) at alpha of mu = (Sa + coef Sb) / (n(n+2)), coef = lambda n(n+2) - 8 a_1,
+    from the _kernel sums and the (theta, cusp) _tails at fold.at: its radius is
+    the tails plus _ROUNDOFF of the absolute sum, scaled back through the fold."""
+    sa, sa_abs, sb, sb_abs, ea, eb = sums
+    k, denom = abs(coef), float(n * (n + 2))
+    abs_sum = sa_abs + k * sb_abs
+    radius = (tails[0] + k * tails[1] + _ROUNDOFF * abs_sum) / denom
+    return fold.spectral((sa + coef * sb) / denom, radius, abs_sum / denom, (ea + k * eb) / denom)
 
 
 def _tails(entry: LatticeEntry, at: float, terms: int) -> tuple[float, float]:
@@ -581,24 +589,20 @@ def _spectrum(entry: LatticeEntry, alpha: float, tol: float, fold: _Fold) -> Spe
     def tail_part(a_tail, b_tail):
         return fold.spectral(0.0, (a_tail + widest * b_tail) / denom, 0.0, 0.0)[1]
 
-    terms, a_tail, b_tail = _truncation(entry, fold.at, tol, tail_part)
-    sa, sa_abs, sb, sb_abs, envelopes = _kernel(entry, fold.at, terms)
-    ea, eb = envelopes() if fold.arg_rel else (0.0, 0.0)
+    terms, *tails = _truncation(entry, fold.at, tol, tail_part)
+    sums = _kernel(entry, fold.at, terms)
     lines = []
     for lam, mult in lam_rows:
         coef = lam * n * (n + 2) - 8 * a1
         if entry.cusp is None:
             assert coef == 0, "dimension-8 spectrum must not touch the cusp series"
-        mu = (sa + coef * sb) / denom
-        abs_sum = sa_abs + abs(coef) * sb_abs
-        radius = (a_tail + abs(coef) * b_tail + _ROUNDOFF * abs_sum) / denom
-        mu, radius = fold.spectral(mu, radius, abs_sum / denom, (ea + abs(coef) * eb) / denom)
+        mu, radius = _eigenvalue(fold, n, sums, tails, coef)
         lines.append(
             SpectralLine(q_eigenvalue=lam, multiplicity=mult, value=mu, error_radius=radius)
         )
     radius = max(line.error_radius for line in lines)
     if not radius <= tol:
-        tail = tail_part(a_tail, b_tail)  # every part of a radius grows with |coef|
+        tail = tail_part(*tails)  # every part of a radius grows with |coef|
         raise ToleranceUnreachable(
             f"roundoff-bound: error radius {radius:.3g} exceeds tol {tol:.3g} at "
             f"{terms} series terms; its tail part is {tail:.3g} and its roundoff "
@@ -622,7 +626,7 @@ def spectrum_partial(entry: LatticeEntry, alpha: float, lam: int, m_terms: int) 
     """Partial eigenvalue sum through m_terms, no tail: for truncation-matched
     cross-checks against direct shell enumeration."""
     n = entry.dimension
-    sa, _, sb, _, _ = _kernel(entry, alpha, m_terms)
+    sa, _, sb, *_ = _kernel(entry, alpha, m_terms)
     return (sa + (lam * n * (n + 2) - 8 * entry.root_count) * sb) / float(n * (n + 2))
 
 
@@ -659,20 +663,16 @@ def isotropic_hessian_series(
     With no roots Q vanishes identically, the cusp contribution carries the
     coefficient lambda n(n+2) - 8 a_1 = 0, and the whole traceless Hessian is
     mu * identity with mu = Sa / (n(n+2)).  The partial sum runs over
-    m <= m_terms; the tail is certified from the theta coefficient bound.
-    Below alpha = pi both are summed at pi^2 / alpha and scaled back, the
-    tail absorbing the scaling allowance (see _Fold).
+    m <= m_terms; its tail, a spectral line's radius at that length, covers
+    the certified theta tail and the partial sum's roundoff.  Below alpha = pi
+    both are summed at pi^2 / alpha and scaled back (see _Fold).
     """
     modforms._check_alpha(alpha)
     if entry.root_count != 0:
         raise Inapplicable("isotropic Hessian series requires a rootless lattice")
-    n = entry.dimension
-    denom = float(n * (n + 2))
     fold = _fold(entry, alpha, ToleranceUnreachable)
-    sa, sa_abs, _, _, envelopes = _kernel(entry, fold.at, m_terms)
-    tail = _tails(entry, fold.at, m_terms)[0]  # MonotonicityViolated for too few terms
-    envelope = envelopes()[0] / denom if fold.arg_rel else 0.0
-    return fold.spectral(sa / denom, tail / denom, sa_abs / denom, envelope)
+    tails = _tails(entry, fold.at, m_terms)  # MonotonicityViolated for too few terms
+    return _eigenvalue(fold, entry.dimension, _kernel(entry, fold.at, m_terms), tails, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,21 @@ def test_tolerance_unreachable_exits_1(capsys):
     assert "underflow" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "Rootless32", "--alpha", "1e-19"],
+    ["table24", "--alpha", "1e-40"],
+    ["dim32", "--cert-alpha", "1e-20"],
+    ["sweep", "E8", "--start", "1e-300", "--stop", "1e-299", "--steps", "2"],
+])
+def test_tiny_alpha_exits_1_with_underflow(argv, capsys):
+    # alpha so small that (pi/alpha)^(n/2) overflows float64
+    code, _, err = _run(capsys, argv)
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1
+    assert "underflow" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [["analyze", "E8"], ["table24"], ["table24", "--format", "json"],
                                   ["dim16"], ["dim32"]])
 def test_undecided_sign_exits_1_with_one_line(argv, capsys, monkeypatch):

@@ -462,6 +462,72 @@ def test_isotropic_series():
         morse.isotropic_hessian_series(latcat.get("Rootless32"), ALPHA, m_terms=1)
 
 
+def _exact_series(entry, alpha, length):
+    """(Sa, Sb) at alpha from exact coefficients in mpmath, summed far past their tails."""
+    n = entry.dimension
+    theta = modforms.theta_even_unimodular(n, entry.root_count, length)
+    cusp = modforms.cusp_normalized(n, length) if n != 8 else None
+    al = mpmath.mpf(alpha)
+    sa = sb = mpmath.mpf(0)
+    for m in range(1, length):
+        x = 2 * al * m
+        a = theta.coeffs[m]
+        sa += mpmath.mpf(a.numerator) / a.denominator * x * (x - (n / 2 + 1)) * mpmath.exp(-x)
+        if cusp is not None:
+            b = cusp.coeffs[m]
+            sb += mpmath.mpf(b.numerator) / b.denominator * al**2 / 2 * mpmath.exp(-x)
+    return sa, sb
+
+
+def test_direct_side_against_high_precision_sum():
+    # every direct-side line encloses the exact series at the float alpha
+    with mpmath.workdps(60):
+        for alpha in (ALPHA, 5.0, 4 * math.pi):
+            for entry in CRITICAL:
+                n = entry.dimension
+                sa, sb = _exact_series(entry, alpha, 40)
+                report = morse.hessian_spectrum(entry, alpha)
+                assert report.side == "direct"
+                for line in report.lines:
+                    coef = line.q_eigenvalue * n * (n + 2) - 8 * entry.root_count
+                    exact = (sa + coef * sb) / (n * (n + 2))
+                    assert abs(line.value - exact) <= line.error_radius, (entry.name, alpha)
+        # the isotropic tail covers the partial sum's roundoff as well as its truncation
+        rootless = latcat.get("Rootless32")
+        for alpha, length in ((ALPHA, 40), (5.0, 40), (0.7, 200)):
+            exact = _exact_series(rootless, alpha, length)[0] / (32 * 34)
+            for m_terms in (8, 16):
+                partial, tail = morse.isotropic_hessian_series(rootless, alpha, m_terms)
+                assert abs(partial - exact) <= tail, (alpha, m_terms)
+
+
+def test_dimension_32_gradient_vanishes_at_pi():
+    # for traceless H the gradient series sum_m e^(-2 alpha m) <H, S_m> is
+    # <H, S_1> Delta E6 at q = e^(-2 alpha), and E6(i) = 0: every even
+    # unimodular lattice of dimension 32 is critical at alpha = pi
+    form = modforms.discriminant(40) * modforms.eisenstein(6, 40)
+    with mpmath.workdps(60):
+        q = mpmath.exp(-2 * mpmath.pi)
+        value = mpmath.fsum(
+            mpmath.mpf(c.numerator) / c.denominator * q**m for m, c in enumerate(form.coeffs)
+        )
+    assert abs(value) < 1e-50
+    with pytest.raises(morse.CertificateFails):
+        morse.noncritical_certificate(latcat.get("A1^8+A3^8"), ALPHA)
+
+
+@pytest.mark.parametrize("alpha", [1e-19, 1e-40, 1e-300])
+def test_tiny_alpha_raises_underflow(alpha):
+    # (pi/alpha)^(n/2) overflows here; the underflow guard must come first
+    rootless = latcat.get("Rootless32")
+    with pytest.raises(morse.ToleranceUnreachable, match="underflow"):
+        morse.hessian_spectrum(rootless, alpha)
+    with pytest.raises(morse.ToleranceUnreachable, match="underflow"):
+        morse.isotropic_hessian_series(rootless, alpha)
+    with pytest.raises(morse.CertificateFails, match="underflow"):
+        morse.noncritical_certificate(latcat.get("A1^8+A3^8"), alpha)
+
+
 def test_alpha_sweep():
     reports = morse.alpha_sweep(latcat.get("E8^2"), [3.0, ALPHA, 3.3])
     assert [r.alpha for r in reports] == [3.0, ALPHA, 3.3]

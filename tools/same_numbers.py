@@ -1,8 +1,9 @@
-"""One SHA-256 over every number latmorse prints, for a source tree.
+"""Every number latmorse prints, for one source tree or compared across two.
 
     python3 tools/same_numbers.py TREE
+    python3 tools/same_numbers.py OLD NEW
 
-imports ``latmorse`` from TREE/src and hashes:
+imports ``latmorse`` from TREE/src and walks one record per:
 
 * every catalog entry at 32 log-spaced alpha in [pi, 4pi], 31 in [0.5, pi)
   and at 14, 0.1, 0.05, 0.03, 200 and 400, each at tol 1e-8, 1e-10, 1e-12
@@ -15,17 +16,38 @@ imports ``latmorse`` from TREE/src and hashes:
   ``spectrum_partial`` of every critical entry, at alpha 0.7, pi and 5;
 * stdout, stderr and exit status of the README's CLI commands.
 
-Two trees that print the same hash print the same numbers.  Takes a few
-seconds; it is a tool, not a test, and pytest does not collect it.
-"""
+With one tree it prints one SHA-256 over the records: two trees that print
+the same hash print the same numbers.  With two it walks the records of each
+in its own subprocess (``--records TREE`` prints them one per line), prints
+every record of NEW that differs from OLD beyond rounding, and exits 1 if
+there is one.  Beyond rounding means:
 
+* a change in any discrete field: term count, side, class, Morse index,
+  sign, lambda, multiplicity, exception class or first word, exact terms,
+  certificate constant names, CLI exit status, the first word of stderr, or
+  the text of stdout around its numbers;
+* a mu or isotropic partial sum outside the old one's interval (value plus
+  or minus radius, or tail);
+* a radius, isotropic tail or certificate remainder that grows, or a root
+  term that falls, by more than 1e-15 relative;
+* a float with no radius of its own (a ``spectrum_partial`` value, a
+  certificate constant, a number in CLI stdout) that moves by more than
+  1e-9 relative: ``spectrum_partial(E8, 0.7, 24, 16)`` moves 2.2e-12 under
+  a change of summation order, through cancellation.
+
+A spectrum's margin is not compared: it follows from its lines.  Takes a
+few seconds per tree; it is a tool, not a test, and pytest does not collect
+it.
+"""
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
 import io
 import math
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,6 +58,9 @@ ALPHAS = (
 )
 TOLS = (1e-8, 1e-10, 1e-12, 1e-14)
 SIDE_ALPHAS = (0.7, math.pi, 5.0)
+TIGHT = 1e-15  # relative slack of a radius, tail, remainder or root term
+LOOSE = 1e-9  # relative slack of a float with no radius of its own
+NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 CLI_RUNS = (
     ["table24"], ["table24", "--format", "json"],
@@ -114,18 +139,134 @@ def records():
         yield ("cli", tuple(argv), code, out.getvalue(), err.getvalue())
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
-        print("usage: same_numbers.py TREE", file=sys.stderr)
-        return 2
-    src = Path(args[0]).resolve() / "src"
+def _raised(result) -> bool:
+    return isinstance(result, tuple) and result[:1] == ("raises",)
+
+
+def _outside(value, radius, new_value) -> bool:
+    return not abs(float(new_value) - float(value)) <= float(radius)
+
+
+def _grew(old, new) -> bool:
+    return not float(new) <= float(old) * (1.0 + TIGHT)
+
+
+def _moved(old, new) -> bool:
+    old, new = float(old), float(new)
+    return repr(old) != repr(new) and not abs(new - old) <= LOOSE * abs(old)
+
+
+def _spectrum_drift(old, new) -> str:
+    if old[:4] != new[:4] or len(old[5]) != len(new[5]):
+        return "terms, side, class or Morse index"
+    for (*key, mu, radius, sign), (*new_key, new_mu, new_radius, new_sign) in zip(old[5], new[5]):
+        if (key, sign) != (new_key, new_sign):
+            return "lambda, multiplicity or sign"
+        if _outside(mu, radius, new_mu):
+            return f"mu(lambda={key[0]}) outside the old interval"
+        if _grew(radius, new_radius):
+            return f"radius(lambda={key[0]}) grew"
+    return ""
+
+
+def _certificate_drift(old, new) -> str:
+    (root, remainder, exact, constants) = old
+    (new_root, new_remainder, new_exact, new_constants) = new
+    if exact != new_exact or [k for k, _ in constants] != [k for k, _ in new_constants]:
+        return "exact terms or constant names"
+    if not float(new_root) >= float(root) * (1.0 - TIGHT):
+        return "root term fell"
+    if _grew(remainder, new_remainder):
+        return "remainder grew"
+    moved = [k for (k, v), (_, w) in zip(constants, new_constants) if _moved(v, w)]
+    return f"constants moved: {', '.join(moved)}" if moved else ""
+
+
+def _cli_drift(old, new) -> str:
+    (code, out, err), (new_code, new_out, new_err) = old, new
+    if code != new_code or err.split()[:1] != new_err.split()[:1]:
+        return "exit status or first word of stderr"
+    parts, new_parts = NUMBER.split(out), NUMBER.split(new_out)
+    if len(parts) != len(new_parts) or parts[::2] != new_parts[::2]:
+        return "stdout text"
+    moved = [v for v, w in zip(parts[1::2], new_parts[1::2]) if _moved(v, w)]
+    return f"{len(moved)} stdout numbers moved, the first {moved[0]}" if moved else ""
+
+
+def drift(old: tuple, new: tuple) -> str:
+    """Why record ``new`` differs from ``old`` beyond rounding, or ""."""
+    kind = old[0]
+    cut = 2 if kind == "cli" else -1
+    if old[:cut] != new[:cut]:
+        return "different record"
+    result, new_result = old[cut:], new[cut:]
+    if kind != "cli":
+        (result,), (new_result,) = result, new_result
+    if _raised(result) or _raised(new_result):
+        return "" if result == new_result else "outcome"
+    if kind == "spectrum":
+        return _spectrum_drift(result, new_result)
+    if kind in ("certificate", "criterion 07"):
+        return _certificate_drift(result, new_result)
+    if kind == "isotropic":
+        (partial, tail), (new_partial, new_tail) = map(ast.literal_eval, (result, new_result))
+        if _outside(partial, tail, new_partial):
+            return "partial outside the old interval"
+        return "tail grew" if _grew(tail, new_tail) else ""
+    if kind == "partial":
+        return "partial moved" if _moved(result, new_result) else ""
+    return _cli_drift(result, new_result)
+
+
+def _import_from(tree: str) -> None:
+    """Import latmorse from TREE/src, or exit 2."""
+    src = Path(tree).resolve() / "src"
     sys.path.insert(0, str(src))
     import latmorse
 
     if Path(latmorse.__file__).resolve().parent.parent != src:
         print(f"latmorse imported from {latmorse.__file__}, not {src}", file=sys.stderr)
+        sys.exit(2)
+
+
+def _walk(tree: str) -> list[tuple]:
+    """The records of TREE, walked in a subprocess of their own, or exit 2."""
+    run = subprocess.run([sys.executable, __file__, "--records", tree],
+                         capture_output=True, text=True)
+    if run.returncode:
+        print(f"--records {tree} failed:\n{run.stderr}", file=sys.stderr)
+        sys.exit(2)
+    return [ast.literal_eval(line) for line in run.stdout.splitlines()]
+
+
+def compare(old_tree: str, new_tree: str) -> int:
+    """Print every record of NEW that differs from OLD beyond rounding; 1 if any."""
+    old, new = _walk(old_tree), _walk(new_tree)
+    if len(old) != len(new):
+        print(f"{len(old)} records in {old_tree}, {len(new)} in {new_tree}")
+        return 1
+    flagged = 0
+    for a, b in zip(old, new):
+        why = drift(a, b)
+        if why:
+            flagged += 1
+            print(f"{why}:\n  old {a!r}\n  new {b!r}")
+    print(f"{flagged} of {len(old)} records differ beyond rounding")
+    return 1 if flagged else 0
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) == 2 and args[0] != "--records":
+        return compare(*args)
+    if len(args) not in (1, 2):
+        print("usage: same_numbers.py TREE | OLD NEW", file=sys.stderr)
         return 2
+    _import_from(args[-1])
+    if args[0] == "--records":
+        for record in records():
+            print(repr(record))
+        return 0
     digest = hashlib.sha256()
     count = 0
     for record in records():
