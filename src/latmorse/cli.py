@@ -14,9 +14,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import enumlat, latcat, modforms, morse, rootsys, symspace
+from . import latcat, modforms, morse, rootsys, symspace
 
 
 def _positive_finite(name: str, text: str) -> float:
@@ -261,7 +259,12 @@ def cmd_sweep(args) -> int:
             )
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as handle:
+        try:
+            handle = open(args.out, "w")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
+        with handle:
             handle.write(text)
         print(f"wrote {len(lines) - 1} rows to {args.out}")
     else:
@@ -289,6 +292,10 @@ def cmd_catalog(args) -> int:
 
 
 def _selftest_checks():
+    import numpy as np
+
+    from . import enumlat
+
     yield "moment identity A4", rootsys.verify_moment_identity(rootsys.make_irreducible("A", 4))
     yield "moment identity D7", rootsys.verify_moment_identity(rootsys.make_irreducible("D", 7))
     yield "moment identity E8", rootsys.verify_moment_identity(rootsys.make_irreducible("E", 8))

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import modforms
 
 MAX_DIM = 16
@@ -42,6 +40,8 @@ class BudgetExceeded(ValueError):
 
 
 def _checked_gram(gram) -> np.ndarray:
+    import numpy as np
+
     g = np.asarray(gram)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError("Gram matrix must be square")
@@ -54,6 +54,8 @@ def _checked_gram(gram) -> np.ndarray:
 
 
 def _cholesky_upper(gram_int: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     try:
         lower = np.linalg.cholesky(gram_int.astype(float))
     except np.linalg.LinAlgError as exc:
@@ -63,6 +65,8 @@ def _cholesky_upper(gram_int: np.ndarray) -> np.ndarray:
 
 def _expand_level(v, cost, r_upper, i, bound):
     """All one-coordinate extensions at level i with partial cost <= bound."""
+    import numpy as np
+
     rii = float(r_upper[i, i])
     linear = v[:, i + 1 :] @ r_upper[i, i + 1 :]
     room = bound - cost
@@ -91,6 +95,8 @@ def _enumerate(g: np.ndarray, bound: int, visit) -> None:
     order is deterministic, and float pruning carries a +1e-6 slack so no
     boundary point is lost.
     """
+    import numpy as np
+
     n = g.shape[0]
     if n > MAX_DIM:
         raise BudgetExceeded(f"enumeration limited to dimension {MAX_DIM}")
@@ -123,6 +129,8 @@ def short_vectors(gram, bound: int) -> tuple[np.ndarray, np.ndarray]:
     Materializes every vector; fine up to around a million, beyond that use
     the streaming consumers.
     """
+    import numpy as np
+
     g = _checked_gram(gram)
     pieces: list[np.ndarray] = []
     norm_pieces: list[np.ndarray] = []
@@ -162,6 +170,8 @@ _shell_cache: dict[bytes, tuple[int, list[ShellList]]] = {}
 
 def shells_up_to(gram, m_max: int) -> list[ShellList]:
     """ShellLists for norms 2, 4, ..., 2*m_max (cached for the last few Gram matrices)."""
+    import numpy as np
+
     _check_shell_budget(m_max)
     g = _checked_gram(gram)
     key = g.tobytes()
@@ -189,6 +199,8 @@ def enumerate_shell(gram, m: int) -> ShellList:
 
 def shell_counts(gram, m_max: int) -> tuple[int, ...]:
     """Sizes of the norm-2, ..., norm-2*m_max shells, without storing vectors."""
+    import numpy as np
+
     _check_shell_budget(m_max)
     g = _checked_gram(gram)
     counts = np.zeros(2 * m_max + 1, dtype=np.int64)
@@ -214,6 +226,8 @@ def energy_direct(gram, alpha: float, m_max: int) -> EnergyEstimate:
     everything beyond, from the dimension's theta coefficient bound.  Requires
     alpha >= pi/2 and m_max >= 4 so the tail machinery is in its valid range.
     """
+    import numpy as np
+
     if alpha < math.pi / 2:
         raise ValueError("energy_direct requires alpha >= pi/2")
     if m_max < 4:
@@ -237,6 +251,8 @@ def hessian_direct(gram, alpha: float, h, m_max: int, basis=None) -> float:
     used.  Pure partial sum over shells m <= m_max, streamed: this is the
     enumeration oracle, certified tails live in the spectral layer.
     """
+    import numpy as np
+
     g = _checked_gram(gram)
     _check_shell_budget(m_max)
     n = g.shape[0]

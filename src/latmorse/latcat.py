@@ -13,10 +13,9 @@ the lattice with root system A1^8 A3^8.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
+from functools import cached_property, lru_cache
 
 from . import modforms
 from .rootsys import RootSystem, empty_root_system, parse_root_system
@@ -35,14 +34,32 @@ class LatticeEntry:
     coxeter_number: int | None
     theta: modforms.QSeries
     cusp: modforms.QSeries | None
-    gram: np.ndarray | None = None
-    basis: np.ndarray | None = None
+    with_gram: bool = False
 
-    def series_floats(self, length: int) -> tuple[np.ndarray, np.ndarray]:
-        """Float theta and cusp coefficient arrays of at least this length.
+    @cached_property
+    def basis(self) -> np.ndarray | None:
+        """Read-only det-1 basis rows of E8 / D16+ (``_unimodular_basis``); None elsewhere."""
+        return _unimodular_basis(self.dimension) if self.with_gram else None
 
-        The cusp array is identically zero in dimension 8, where the relevant
-        cusp space is trivial.
+    @cached_property
+    def gram(self) -> np.ndarray | None:
+        """Read-only integer Gram matrix basis basis^T of E8 / D16+; None elsewhere."""
+        if self.basis is None:
+            return None
+        import numpy as np
+
+        gram_f = self.basis @ self.basis.T
+        gram = np.rint(gram_f).astype(np.int64)
+        assert np.max(np.abs(gram - gram_f)) == 0.0
+        gram.setflags(write=False)
+        return gram
+
+    def series_floats(self, length: int) -> tuple[memoryview, memoryview]:
+        """Float theta and cusp coefficient rows of at least this length.
+
+        Read-only float64 memoryviews: ``np.asarray`` reads them without a
+        copy.  The cusp row is identically zero in dimension 8, where the
+        relevant cusp space is trivial.
         """
         return _series_pair(self.dimension, self.root_count, length)
 
@@ -55,12 +72,10 @@ class LatticeEntry:
 
 # bounded, yet far above the ~28 (dimension, root count) keys times a few lengths in use
 @lru_cache(maxsize=512)
-def _series_pair(n: int, root_count: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    a = np.array(modforms.theta_even_unimodular(n, root_count, length).floats())
-    b = np.array(modforms.cusp_normalized(n, length).floats()) if n != 8 else np.zeros(length)
-    a.setflags(write=False)
-    b.setflags(write=False)
-    return a, b
+def _series_pair(n: int, root_count: int, length: int) -> tuple[memoryview, memoryview]:
+    a = modforms.theta_even_unimodular(n, root_count, length).floats()
+    b = modforms.cusp_normalized(n, length).floats() if n != 8 else [0.0] * length
+    return memoryview(array("d", a)).toreadonly(), memoryview(array("d", b)).toreadonly()
 
 
 def _unimodular_basis(n: int) -> np.ndarray:
@@ -70,25 +85,20 @@ def _unimodular_basis(n: int) -> np.ndarray:
     exactly 1; every row lies in the lattice, and equal covolumes force the
     generated lattice to be the whole thing.
     """
+    import numpy as np
+
     rows = np.zeros((n, n))
     rows[0, 0] = 2.0
     for k in range(1, n - 1):
         rows[k, k - 1], rows[k, k] = -1.0, 1.0
     rows[n - 1, :] = 0.5
+    rows.setflags(write=False)
     return rows
 
 
 def _entry(name: str, dimension: int, system: RootSystem, with_gram: bool = False) -> LatticeEntry:
     """The one construction path: theta, cusp and Coxeter data from (n, roots)."""
     hs = set(system.coxeter_numbers)
-    gram = basis = None
-    if with_gram:
-        basis = _unimodular_basis(dimension)
-        gram_f = basis @ basis.T
-        gram = np.rint(gram_f).astype(np.int64)
-        assert np.max(np.abs(gram - gram_f)) == 0.0
-        gram.setflags(write=False)
-        basis.setflags(write=False)
     return LatticeEntry(
         name=name,
         dimension=dimension,
@@ -97,8 +107,7 @@ def _entry(name: str, dimension: int, system: RootSystem, with_gram: bool = Fals
         coxeter_number=hs.pop() if len(hs) == 1 else None,
         theta=modforms.theta_even_unimodular(dimension, system.count),
         cusp=modforms.cusp_normalized(dimension) if dimension != 8 else None,
-        gram=gram,
-        basis=basis,
+        with_gram=with_gram,
     )
 
 

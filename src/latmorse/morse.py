@@ -26,11 +26,9 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-import numpy as np
-
-from . import enumlat, modforms, symspace
+from . import modforms, symspace
 from .latcat import LatticeEntry
 from .rootsys import second_moment, second_moment_blocks
 
@@ -199,12 +197,28 @@ class CriticalityResult:
     target: Fraction
     blocks: tuple[tuple[int, Fraction], ...]
     defects: tuple[Fraction, ...]
-    witness: np.ndarray | None
     reason: str
 
     @property
     def is_critical(self) -> bool:
         return self.kind == "critical_all_alpha"
+
+    @cached_property
+    def witness(self) -> np.ndarray | None:
+        """Traceless block-diagonal direction, defect d on each block's
+        diagonal, read-only and built on first read; None when critical."""
+        if self.is_critical:
+            return None
+        import numpy as np
+
+        n = sum(size for size, _ in self.blocks)
+        witness = np.zeros((n, n))
+        offset = 0
+        for (size, _), d in zip(self.blocks, self.defects):
+            witness[offset : offset + size, offset : offset + size] = float(d) * np.eye(size)
+            offset += size
+        witness.setflags(write=False)
+        return witness
 
 
 @lru_cache(maxsize=64)
@@ -243,16 +257,9 @@ def criticality(entry: LatticeEntry) -> CriticalityResult:
             target=target,
             blocks=tuple(blocks),
             defects=defects,
-            witness=None,
             reason=reason,
         )
 
-    witness = np.zeros((n, n))
-    offset = 0
-    for (size, _), d in zip(blocks, defects):
-        witness[offset : offset + size, offset : offset + size] = float(d) * np.eye(size)
-        offset += size
-    witness.setflags(write=False)
     reason = (
         "the root-shell second moment is not isotropic; pairing the gradient "
         "with the witness direction isolates a nonzero root-shell term"
@@ -262,7 +269,6 @@ def criticality(entry: LatticeEntry) -> CriticalityResult:
         target=target,
         blocks=tuple(blocks),
         defects=defects,
-        witness=witness,
         reason=reason,
     )
 
@@ -280,10 +286,16 @@ class Certificate:
 
     lattice: str
     alpha: float
-    direction: np.ndarray
+    _direction: object  # the caller's direction, or the CriticalityResult whose witness it is
     root_term: float
     remainder: float
     constants: dict
+
+    @property
+    def direction(self) -> np.ndarray:
+        """The traceless direction paired with the gradient."""
+        given = self._direction
+        return given.witness if isinstance(given, CriticalityResult) else given
 
     @property
     def exact_terms(self) -> int:
@@ -311,11 +323,11 @@ def noncritical_certificate(entry: LatticeEntry, alpha: float, direction=None) -
     crit = criticality(entry)
 
     if direction is None:
-        if crit.witness is None:
+        if crit.is_critical:
             raise CertificateFails(
                 f"{entry.name} is critical at every alpha; no witness direction exists"
             )
-        direction = crit.witness
+        direction = crit
         # exact pairing: sum over blocks of size * defect * 2h
         pairing = sum(
             size * d * moment for (size, moment), d in zip(crit.blocks, crit.defects)
@@ -323,6 +335,8 @@ def noncritical_certificate(entry: LatticeEntry, alpha: float, direction=None) -
         root_pairing = abs(float(pairing))
         max_eig = max(abs(float(d)) for d in crit.defects)
     else:
+        import numpy as np
+
         direction = np.asarray(direction, dtype=float)
         n = entry.dimension
         if direction.shape != (n, n):
@@ -339,6 +353,12 @@ def noncritical_certificate(entry: LatticeEntry, alpha: float, direction=None) -
 
     if root_pairing <= 0:
         raise CertificateFails("direction pairs to zero with the root-shell moment")
+    if entry.dimension == 32 and alpha == math.pi:
+        raise CertificateFails(
+            "root term cannot dominate: every 32-dimensional even unimodular lattice "
+            "is critical at alpha = pi, where the gradient pairing, <H, S_1> times "
+            "Delta E6 at q = e^(-2 pi), vanishes with E6(i) = 0"
+        )
 
     fold = _fold(entry, alpha, CertificateFails)
     at = fold.at
@@ -364,7 +384,7 @@ def noncritical_certificate(entry: LatticeEntry, alpha: float, direction=None) -
     cert = Certificate(
         lattice=entry.name,
         alpha=alpha,
-        direction=direction,
+        _direction=direction,
         root_term=root_term,
         remainder=remainder,
         constants=constants,
@@ -697,6 +717,10 @@ def deformation_check(
     the analytic pairing from ``hessian_direct``.  Both truncate at the same
     shells, so the ratio must be the convention factor 2 up to O(step^2).
     """
+    import numpy as np
+
+    from . import enumlat
+
     g = np.asarray(gram)
     n = g.shape[0]
     h = np.asarray(direction, dtype=float)

@@ -21,8 +21,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-import numpy as np
-
 
 class InvalidRank(ValueError):
     """Rank outside the family's defined range."""
@@ -46,6 +44,8 @@ class RootSystemProperties:
 
 
 def _sorted_rows(rows: list[tuple[int, ...]]) -> np.ndarray:
+    import numpy as np
+
     arr = np.array(sorted(rows), dtype=np.int64)
     arr.setflags(write=False)
     return arr
@@ -89,6 +89,8 @@ def _doubled_roots(kind: str, rank: int) -> np.ndarray:
 
 def _gram_schmidt(columns: np.ndarray) -> np.ndarray:
     """Orthonormalize the columns (classical two-pass, deterministic)."""
+    import numpy as np
+
     q = columns.astype(float).copy()
     for i in range(q.shape[1]):
         for _ in range(2):
@@ -143,6 +145,8 @@ class IrreducibleRootSystem:
         full dimensional; E6/E7 orthonormalize the first independent roots in
         sorted order.
         """
+        import numpy as np
+
         if self.kind == "A":
             n, dim = self.rank, self.rank + 1
             seeds = np.zeros((dim, n))
@@ -244,6 +248,8 @@ class RootSystem:
     @cached_property
     def frame_roots(self) -> np.ndarray:
         """All roots in the block orthonormal frame, shape (count, total_rank)."""
+        import numpy as np
+
         n = self.total_rank
         rows = np.zeros((self.count, n))
         at = 0
@@ -327,6 +333,8 @@ def second_moment_blocks(system: RootSystem) -> tuple[int, ...]:
 
 def verify_moment_identity(system: IrreducibleRootSystem) -> bool:
     """Exact check that sum x x^T acts as 2h on every root (integer arithmetic)."""
+    import numpy as np
+
     r2 = system.doubled_roots
     s2 = r2.T @ r2  # equals 4 * sum x x^T
     h = system.coxeter_number

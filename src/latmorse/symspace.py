@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .rootsys import IrreducibleRootSystem, RootSystem, direct_sum
 
 CLUSTER_TOL = 1e-6
@@ -68,6 +66,8 @@ def traceless_basis(n: int) -> np.ndarray:
     Off-diagonal elements (E_ij + E_ji)/sqrt(2) in lexicographic (i, j) order,
     then n-1 diagonal vectors from Gram-Schmidt on E_ii - E_(i+1,i+1).
     """
+    import numpy as np
+
     if n < 2:
         raise ValueError("traceless space needs n >= 2")
     mats = []
@@ -93,6 +93,8 @@ def traceless_basis(n: int) -> np.ndarray:
 
 
 def _as_matrix(h, n: int) -> np.ndarray:
+    import numpy as np
+
     h = np.asarray(h, dtype=float)
     if h.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got shape {h.shape}")
@@ -101,6 +103,8 @@ def _as_matrix(h, n: int) -> np.ndarray:
 
 def quartic_form(system: RootSystem | IrreducibleRootSystem, h) -> float:
     """Q[H] = sum over roots of (x^T H x)^2, H in frame coordinates."""
+    import numpy as np
+
     rows = system.frame_roots
     if rows.shape[0] == 0:
         return 0.0
@@ -112,6 +116,8 @@ def quartic_form(system: RootSystem | IrreducibleRootSystem, h) -> float:
 
 def quartic_values(system: RootSystem | IrreducibleRootSystem, h) -> np.ndarray:
     """The values x^T H x over the shell (one per root)."""
+    import numpy as np
+
     rows = system.frame_roots
     h = _as_matrix(h, rows.shape[1])
     return np.einsum("ri,ij,rj->r", rows, h, rows)
@@ -181,6 +187,8 @@ def closed_spectrum(system: RootSystem | IrreducibleRootSystem) -> QSpectrum:
 
 def quartic_gram(system: RootSystem | IrreducibleRootSystem) -> np.ndarray:
     """Gram matrix of the polarized quartic form on ``traceless_basis``."""
+    import numpy as np
+
     rows = system.frame_roots
     n = rows.shape[1]
     basis = traceless_basis(n)
@@ -207,6 +215,8 @@ def numeric_spectrum(
     Eigenvalues within ``tol`` of each other fall into one cluster reported at
     the cluster mean; values within tol of zero are snapped to zero.
     """
+    import numpy as np
+
     if isinstance(system, IrreducibleRootSystem):
         system = direct_sum([system])
     n = system.total_rank
@@ -234,6 +244,8 @@ def numeric_spectrum(
 
 def pair_matrix(x, y) -> np.ndarray:
     """M(x, y) = x y^T + y x^T."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return np.outer(x, y) + np.outer(y, x)
@@ -257,6 +269,8 @@ def subspace_basis(system: IrreducibleRootSystem, which: str) -> list[np.ndarray
 
     Spanning sets are deduplicated up to sign but not reduced to bases.
     """
+    import numpy as np
+
     kind, n = system.kind, system.rank
     if which in (D4_PLUS, D4_MINUS):
         if (kind, n) != ("D", 4):
@@ -344,6 +358,8 @@ def design_check(points, t: int) -> DesignCheck:
     sum_x H[x] G[x] = (2 r^4 |X| / (n (n+2))) <H, G> over the traceless basis,
     measured as a relative Gram residual, pass at 1e-8.
     """
+    import numpy as np
+
     if t not in (2, 4):
         raise ValueError("design strength t must be 2 or 4")
     pts = np.asarray(points, dtype=float)
@@ -389,16 +405,22 @@ class HarmonicParts:
     p0: float
 
     def quartic(self, x) -> float:
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         return float(x @ self.h @ x) ** 2
 
     def p2(self, x) -> float:
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         n = self.n
         hx2 = float(x @ self.h_squared @ x)
         return (8.0 * hx2 - (8.0 / n) * self.trace_sq * float(x @ x)) / (8.0 + 2.0 * n)
 
     def p4(self, x) -> float:
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         n = self.n
         norm2 = float(x @ x)
@@ -411,6 +433,8 @@ class HarmonicParts:
         )
 
     def reconstruct(self, x) -> float:
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         norm2 = float(x @ x)
         return self.p4(x) + norm2 * self.p2(x) + norm2 * norm2 * self.p0
@@ -418,6 +442,8 @@ class HarmonicParts:
 
 def harmonic_components(h) -> HarmonicParts:
     """Split H[x]^2 into harmonic layers; requires Tr H = 0 (tolerance 1e-12)."""
+    import numpy as np
+
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("need a square matrix")
@@ -443,6 +469,8 @@ def shell_quartic_sum(lattice, h, m: int) -> float:
     c = Q[H] - (8 / ((2+n) n)) |L(2)| Tr H^2.  The shell sum is then
     c b_m + 4 m^2 (2 / ((2+n) n)) a_m Tr H^2.  Dimension 8 has no cusp form.
     """
+    import numpy as np
+
     n = lattice.dimension
     if lattice.cusp is None:
         raise UnsupportedDimension("no cusp form in dimension 8")

@@ -5,6 +5,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -190,6 +194,15 @@ def test_analyze_defective_json(capsys):
     assert payload["defects"] == ["-3"] * 8 + ["1"] * 8
 
 
+def test_analyze_defective_at_default_alpha_says_why(capsys):
+    # alpha = pi, where every 32-dimensional even unimodular lattice is critical
+    code, out, err = _run(capsys, ["analyze", "A1^8+A3^8"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("certificate failed:")
+    assert "critical at alpha = pi" in err
+
+
 def test_analyze_unknown_lattice(capsys):
     code, _, err = _run(capsys, ["analyze", "Z99"])
     assert code == 2
@@ -258,6 +271,19 @@ def test_sweep_to_file(tmp_path, capsys):
     assert lines[1].startswith("3.0,24,")
 
 
+@pytest.mark.parametrize("target", [lambda tmp: tmp / "missing" / "sweep.csv", lambda tmp: tmp],
+                         ids=["missing-directory", "directory"])
+def test_sweep_unwritable_out_exits_2(target, tmp_path, capsys):
+    path = target(tmp_path)
+    code, out, err = _run(capsys, ["sweep", "E8", "--start", "4", "--stop", "5", "--steps", "2",
+                                   "--out", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_sweep_stdout_and_bad_steps(capsys):
     code, out, _ = _run(capsys, ["sweep", "E8", "--start", "3", "--stop", "3.2",
                                  "--steps", "2"])
@@ -296,3 +322,44 @@ def test_requires_subcommand():
     with pytest.raises(SystemExit) as info:
         cli.main([])
     assert info.value.code == 2
+
+
+# runs cli.main on its arguments in a fresh interpreter; the last stderr line
+# says whether numpy was imported and gives the exit status
+_REPORT_NO_NUMPY = """
+import sys
+from latmorse import cli
+status = cli.main(sys.argv[1:])
+sys.stdout.flush()
+print("numpy" in sys.modules, status, file=sys.stderr)
+"""
+
+
+def _fresh_python(*args):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "D16+"],
+    ["analyze", "A1^8+A3^8", "--alpha", "14"],
+    ["table24"],
+    ["dim16"],
+    ["dim32"],
+    ["catalog"],
+    ["sweep", "E8", "--start", "4", "--stop", "5", "--steps", "2"],
+])
+def test_report_commands_run_without_numpy(argv):
+    run = _fresh_python("-c", _REPORT_NO_NUMPY, *argv)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.splitlines()[-1] == "False 0"
+
+
+def test_cli_import_lists_no_numpy():
+    run = _fresh_python("-X", "importtime", "-c", "import latmorse.cli")
+    assert run.returncode == 0, run.stderr
+    assert "latmorse.cli" in run.stderr
+    assert "numpy" not in run.stderr

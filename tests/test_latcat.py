@@ -147,7 +147,7 @@ def test_series_floats():
     a, b = entry.series_floats(10)
     assert len(a) >= 10 and len(b) >= 10
     assert a[1] == 240.0
-    assert np.all(b == 0.0)  # no cusp form in dimension 8, by convention zeros
+    assert np.all(np.asarray(b) == 0.0)  # no cusp form in dimension 8, by convention zeros
 
     leech_a, leech_b = latcat.get("Leech").series_floats(4)
     assert leech_a[2] == 196560.0
@@ -155,6 +155,15 @@ def test_series_floats():
 
     again = entry.series_floats(10)
     assert again[0] is a  # cached
+
+
+def test_series_floats_are_read_only_buffers():
+    a, b = latcat.get("D16+").series_floats(8)
+    assert a.readonly and b.readonly
+    view = np.asarray(a)
+    assert view.base.obj is a.obj  # numpy reads the row without a copy
+    assert not view.flags.writeable
+    assert a.tolist()[:3] == [1.0, 480.0, 61920.0]
 
 
 def test_coeff_bound_structure():

@@ -397,23 +397,13 @@ def test_fold_against_high_precision_direct_sum(name, alpha, length):
     # coefficients in 80-digit arithmetic, summed far past its tail
     entry = latcat.get(name)
     n = entry.dimension
-    theta = modforms.theta_even_unimodular(n, entry.root_count, length)
-    cusp = modforms.cusp_normalized(n, length) if n != 8 else None
     with mpmath.workdps(80):
-        al = mpmath.mpf(alpha)
+        sa, sb = _exact_series(entry, alpha, length)
         folded = morse.hessian_spectrum(entry, alpha)
         assert folded.side == "dual"
         for line in folded.lines:
             coef = line.q_eigenvalue * n * (n + 2) - 8 * entry.root_count
-            total = mpmath.mpf(0)
-            for m in range(1, length):
-                x = 2 * al * m
-                a = theta.coeffs[m]
-                total += mpmath.mpf(a.numerator) / a.denominator * x * (x - (n / 2 + 1)) * mpmath.exp(-x)
-                if cusp is not None:
-                    b = cusp.coeffs[m]
-                    total += coef * mpmath.mpf(b.numerator) / b.denominator * al**2 / 2 * mpmath.exp(-x)
-            exact = total / (n * (n + 2))
+            exact = (sa + coef * sb) / (n * (n + 2))
             assert abs(line.value - exact) <= line.error_radius
             assert line.error_radius <= 1e-9 * abs(exact)
 
@@ -514,6 +504,28 @@ def test_dimension_32_gradient_vanishes_at_pi():
     assert abs(value) < 1e-50
     with pytest.raises(morse.CertificateFails):
         morse.noncritical_certificate(latcat.get("A1^8+A3^8"), ALPHA)
+
+
+def test_dimension_32_certificate_at_pi_says_why():
+    defective = latcat.get("A1^8+A3^8")
+    with pytest.raises(morse.CertificateFails, match="critical at alpha = pi"):
+        morse.noncritical_certificate(defective, math.pi)
+    direction = np.diag([24.0] * 8 + [-8.0] * 24)
+    with pytest.raises(morse.CertificateFails, match="critical at alpha = pi"):
+        morse.noncritical_certificate(defective, math.pi, direction)
+    # next to pi the certificate is attempted as before
+    with pytest.raises(morse.CertificateFails, match="does not dominate"):
+        morse.noncritical_certificate(defective, math.nextafter(math.pi, 4.0))
+
+
+def test_certificate_direction_is_the_witness():
+    defective = latcat.get("A1^8+A3^8")
+    assert morse.noncritical_certificate(defective, 14.0).direction is (
+        morse.criticality(defective).witness
+    )
+    direction = np.diag([24.0] * 8 + [-8.0] * 24)
+    given = morse.noncritical_certificate(defective, 14.0, direction).direction
+    assert np.array_equal(given, direction)
 
 
 @pytest.mark.parametrize("alpha", [1e-19, 1e-40, 1e-300])
