@@ -55,7 +55,7 @@ class LatticeEntry:
         return gram
 
     def series_floats(self, length: int) -> tuple[memoryview, memoryview]:
-        """Float theta and cusp coefficient rows of at least this length.
+        """Float theta and cusp coefficient rows of exactly this length.
 
         Read-only float64 memoryviews: ``np.asarray`` reads them without a
         copy.  The cusp row is identically zero in dimension 8, where the
@@ -73,6 +73,10 @@ class LatticeEntry:
 # bounded, yet far above the ~28 (dimension, root count) keys times a few lengths in use
 @lru_cache(maxsize=512)
 def _series_pair(n: int, root_count: int, length: int) -> tuple[memoryview, memoryview]:
+    """Rows up to DEFAULT_LENGTH are views of the one pair converted from the
+    catalog's exact series; only longer rows build longer exact series."""
+    if length < modforms.DEFAULT_LENGTH:
+        return tuple(row[:length] for row in _series_pair(n, root_count, modforms.DEFAULT_LENGTH))
     a = modforms.theta_even_unimodular(n, root_count, length).floats()
     b = modforms.cusp_normalized(n, length).floats() if n != 8 else [0.0] * length
     return memoryview(array("d", a)).toreadonly(), memoryview(array("d", b)).toreadonly()
@@ -99,14 +103,15 @@ def _unimodular_basis(n: int) -> np.ndarray:
 def _entry(name: str, dimension: int, system: RootSystem, with_gram: bool = False) -> LatticeEntry:
     """The one construction path: theta, cusp and Coxeter data from (n, roots)."""
     hs = set(system.coxeter_numbers)
+    length = modforms.DEFAULT_LENGTH  # explicit: lru_cache keys on it, as _series_pair passes it
     return LatticeEntry(
         name=name,
         dimension=dimension,
         root_system=system,
         root_count=system.count,
         coxeter_number=hs.pop() if len(hs) == 1 else None,
-        theta=modforms.theta_even_unimodular(dimension, system.count),
-        cusp=modforms.cusp_normalized(dimension) if dimension != 8 else None,
+        theta=modforms.theta_even_unimodular(dimension, system.count, length),
+        cusp=modforms.cusp_normalized(dimension, length) if dimension != 8 else None,
         with_gram=with_gram,
     )
 

@@ -3,10 +3,9 @@
 Theta functions of even unimodular lattices live in finite dimensional spaces
 of modular forms, so every theta series used here is an exact rational
 combination of Eisenstein series and a normalized cusp form: at most two rows
-of one cached integer basis per truncation length, combined in O(length).
-Coefficients are exact ints (Fractions only where a combination is not
-integral); floats appear only in the certified-bound layer, where every
-constant is rounded upward.
+of one cached integer basis, combined in O(length).  Coefficients are exact
+ints (Fractions only where a combination is not integral); floats appear only
+in the certified-bound layer, where every constant is rounded upward.
 
 The bound layer provides three certified estimates:
 
@@ -65,15 +64,22 @@ class TruncationInsufficient(ValueError):
 
 @lru_cache(maxsize=None)
 def bernoulli(k: int) -> Fraction:
-    """k-th Bernoulli number (B_1 = -1/2 convention), exact."""
+    """k-th Bernoulli number (B_1 = +1/2 convention), exact: for even k = 2n >= 2,
+    B_k = (-1)^(n-1) k T_n / (2^k (2^k - 1)), tangent numbers T_i built in ints."""
     if k < 0:
         raise ValueError("negative Bernoulli index")
-    row = [Fraction(0)] * (k + 1)
-    for m in range(k + 1):
-        row[m] = Fraction(1, m + 1)
-        for j in range(m, 0, -1):
-            row[j - 1] = j * (row[j - 1] - row[j])
-    return row[0]
+    if k < 2:
+        return Fraction(1, k + 1)
+    if k % 2:
+        return Fraction(0)
+    n = k // 2
+    t = [0, 1] + [0] * (n - 1)
+    for j in range(2, n + 1):
+        t[j] = (j - 1) * t[j - 1]
+    for i in range(2, n + 1):
+        for j in range(i, n + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return Fraction((-1) ** (n - 1) * k * t[n], 4**n * (4**n - 1))
 
 
 def sigma(k: int, m: int) -> int:

@@ -550,7 +550,8 @@ def _truncation(entry: LatticeEntry, at: float, tol: float, part) -> tuple[int, 
     ``part`` of the tails is <= tol/2, found before any coefficient is read.
 
     The tails are nonincreasing in M and stop at e^-700 once M >= 700 / at:
-    a tol/2 below ``part`` there raises at once, as does a tol that is not > 0.
+    a tol/2 below ``part`` there raises at once, as does a tol that is not > 0
+    and a tail that overflows float64 at M = _min_terms.
     """
     if not tol > 0:
         raise ToleranceUnreachable(
@@ -559,6 +560,10 @@ def _truncation(entry: LatticeEntry, at: float, tol: float, part) -> tuple[int, 
         )
     low = _min_terms(entry.dimension, at)
     tails = _tails(entry, at, low)
+    for tail, factor in zip(tails, ("4 alpha^2", "alpha^2 / 2")):
+        if not math.isfinite(tail):
+            raise ToleranceUnreachable(f"overflow: at alpha = {at:g} the factor {factor} "
+                                       "of a tail bound exceeds the float64 range")
     if part(*tails) <= tol / 2:
         return (low, *tails)
     high = max(low + 1, math.ceil(700.0 / at))

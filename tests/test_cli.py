@@ -121,6 +121,18 @@ def test_tiny_alpha_exits_1_with_underflow(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("alpha", ["1e154", "1e300"])
+def test_huge_alpha_exits_1_with_overflow(alpha, capsys):
+    # 4 alpha^2 in the theta tail bound exceeds float64
+    code, out, err = _run(capsys, ["analyze", "E8", "--alpha", alpha])
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "overflow" in err and "4 alpha^2" in err
+    assert "inf" not in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [["analyze", "E8"], ["table24"], ["table24", "--format", "json"],
                                   ["dim16"], ["dim32"]])
 def test_undecided_sign_exits_1_with_one_line(argv, capsys, monkeypatch):

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import functools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +169,47 @@ def test_series_floats_are_read_only_buffers():
     assert view.base.obj is a.obj  # numpy reads the row without a copy
     assert not view.flags.writeable
     assert a.tolist()[:3] == [1.0, 480.0, 61920.0]
+
+
+def test_short_rows_are_views_of_the_catalog_rows():
+    for entry in latcat.list_catalog():
+        full = entry.series_floats(modforms.DEFAULT_LENGTH)
+        for length in (1, 9, 17, 63):
+            rows = entry.series_floats(length)
+            assert [len(row) for row in rows] == [length, length]
+            assert all(row.obj is whole.obj for row, whole in zip(rows, full))
+            assert [row.tolist() for row in rows] == [whole[:length].tolist() for whole in full]
+    long_a, _ = latcat.get("Leech").series_floats(129)
+    assert len(long_a) == 129 and long_a.readonly
+
+
+# first requests of a fresh process, one per dimension and one certificate;
+# prints the cache misses of the exact series before and after, and whether
+# a short row shares the catalog-length row's buffer
+_FIRST_REQUESTS = """
+from latmorse import latcat, modforms, morse
+def misses():
+    return (modforms._basis.cache_info().misses,
+            modforms.theta_even_unimodular.cache_info().misses)
+latcat.list_catalog()
+before = misses()
+for name in ("E8", "D16+", "Leech", "Rootless32"):
+    morse.hessian_spectrum(latcat.get(name), 1.2)
+morse.noncritical_certificate(latcat.get("A1^8+A3^8"), 1.2)
+entry = latcat.get("Leech")
+print((before, misses(), entry.series_floats(17)[0].obj is entry.series_floats(64)[0].obj))
+"""
+
+
+def test_first_requests_build_no_exact_series():
+    src = str(Path(latcat.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _FIRST_REQUESTS], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert run.returncode == 0, run.stderr
+    before, after, shared = ast.literal_eval(run.stdout)
+    assert after == before
+    assert shared
 
 
 def test_coeff_bound_structure():

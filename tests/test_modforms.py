@@ -41,6 +41,15 @@ def test_bernoulli_values():
     assert mf.bernoulli(16) == Fraction(-3617, 510)
 
 
+def test_bernoulli_against_mpmath():
+    # mpmath uses B_1 = -1/2; bernoulli keeps the +1/2 convention
+    for k in range(61):
+        p, q = mpmath.bernfrac(k)
+        assert mf.bernoulli(k) == Fraction(-p if k == 1 else p, q), k
+    with pytest.raises(ValueError):
+        mf.bernoulli(-1)
+
+
 def test_sigma_and_divisor_count():
     assert mf.sigma(1, 6) == 12
     assert mf.sigma(3, 4) == 73

@@ -14,7 +14,11 @@ imports ``latmorse`` from TREE/src and walks one record per:
 * the alpha = 14 certificate of A1^8+A3^8 along diag(24^8, -8^24);
 * ``isotropic_hessian_series`` of Rootless32 through m = 8 and 16, and
   ``spectrum_partial`` of every critical entry, at alpha 0.7, pi and 5;
-* stdout, stderr and exit status of the README's CLI commands.
+* stdout, stderr and exit status of the README's CLI commands;
+* the exact constants ``bernoulli(k)`` for k = 0..60 and
+  ``eisenstein_first_coeff(k)`` for k = 4, 6, ..., 16;
+* every catalog entry's ``series_floats`` theta and cusp rows at lengths
+  9, 17, 64 and 129.
 
 With one tree it prints one SHA-256 over the records: two trees that print
 the same hash print the same numbers.  With two it walks the records of each
@@ -26,6 +30,7 @@ there is one.  Beyond rounding means:
   sign, lambda, multiplicity, exception class or first word, exact terms,
   certificate constant names, CLI exit status, the first word of stderr, or
   the text of stdout around its numbers;
+* any change in an exact constant or a float coefficient row;
 * a mu or isotropic partial sum outside the old one's interval (value plus
   or minus radius, or tail);
 * a radius, isotropic tail or certificate remainder that grows, or a root
@@ -58,6 +63,7 @@ ALPHAS = (
 )
 TOLS = (1e-8, 1e-10, 1e-12, 1e-14)
 SIDE_ALPHAS = (0.7, math.pi, 5.0)
+ROW_LENGTHS = (9, 17, 64, 129)
 TIGHT = 1e-15  # relative slack of a radius, tail, remainder or root term
 LOOSE = 1e-9  # relative slack of a float with no radius of its own
 NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
@@ -102,7 +108,7 @@ def records():
     """Yield one printable record per number hashed."""
     import numpy as np
 
-    from latmorse import cli, latcat, morse
+    from latmorse import cli, latcat, modforms, morse
 
     entries = latcat.list_catalog()
     critical = [e for e in entries if morse.criticality(e).is_critical]
@@ -137,6 +143,15 @@ def records():
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(list(argv))
         yield ("cli", tuple(argv), code, out.getvalue(), err.getvalue())
+
+    for k in range(61):
+        yield ("constant", "bernoulli", k, str(modforms.bernoulli(k)))
+    for k in range(4, 17, 2):
+        yield ("constant", "eisenstein_first_coeff", k, str(modforms.eisenstein_first_coeff(k)))
+    for entry in entries:
+        for length in ROW_LENGTHS:
+            rows = tuple(tuple(row.tolist()) for row in entry.series_floats(length))
+            yield ("rows", entry.name, length, rows)
 
 
 def _raised(result) -> bool:
@@ -215,6 +230,8 @@ def drift(old: tuple, new: tuple) -> str:
         return "tail grew" if _grew(tail, new_tail) else ""
     if kind == "partial":
         return "partial moved" if _moved(result, new_result) else ""
+    if kind in ("constant", "rows"):
+        return "" if result == new_result else "value"
     return _cli_drift(result, new_result)
 
 
