@@ -20,9 +20,10 @@ m <= 6, enough to cross-check E8 and D16+ against their theta series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import modforms
+from .records import Frozen
 
 MAX_DIM = 16
 MAX_SHELL = 6
@@ -141,12 +142,11 @@ def short_vectors(gram, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack(pieces), np.concatenate(norm_pieces)
 
 
-@dataclass(frozen=True, eq=False)
-class ShellList:
+class ShellList(Frozen):
     """All lattice vectors of squared norm ``norm`` (integer coordinates)."""
 
-    norm: int
-    vectors: np.ndarray
+    def __init__(self, norm: int, vectors: np.ndarray) -> None:
+        self.__dict__.update(norm=norm, vectors=vectors)
 
     @property
     def count(self) -> int:
@@ -213,10 +213,7 @@ def shell_counts(gram, m_max: int) -> tuple[int, ...]:
     return tuple(int(counts[2 * m]) for m in range(1, m_max + 1))
 
 
-@dataclass(frozen=True)
-class EnergyEstimate:
-    value: float
-    tail: float
+EnergyEstimate = namedtuple("EnergyEstimate", "value tail")
 
 
 def energy_direct(gram, alpha: float, m_max: int) -> EnergyEstimate:

@@ -14,10 +14,10 @@ the lattice with root system A1^8 A3^8.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import modforms
+from .records import Frozen
 from .rootsys import RootSystem, empty_root_system, parse_root_system
 
 
@@ -25,16 +25,13 @@ class UnknownLattice(KeyError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class LatticeEntry:
-    name: str
-    dimension: int
-    root_system: RootSystem
-    root_count: int
-    coxeter_number: int | None
-    theta: modforms.QSeries
-    cusp: modforms.QSeries | None
-    with_gram: bool = False
+class LatticeEntry(Frozen):
+    def __init__(self, name: str, dimension: int, root_system: RootSystem, root_count: int,
+                 coxeter_number: int | None, theta: modforms.QSeries,
+                 cusp: modforms.QSeries | None, with_gram: bool = False) -> None:
+        self.__dict__.update(name=name, dimension=dimension, root_system=root_system,
+                             root_count=root_count, coxeter_number=coxeter_number,
+                             theta=theta, cusp=cusp, with_gram=with_gram)
 
     @cached_property
     def basis(self) -> np.ndarray | None:
@@ -103,15 +100,14 @@ def _unimodular_basis(n: int) -> np.ndarray:
 def _entry(name: str, dimension: int, system: RootSystem, with_gram: bool = False) -> LatticeEntry:
     """The one construction path: theta, cusp and Coxeter data from (n, roots)."""
     hs = set(system.coxeter_numbers)
-    length = modforms.DEFAULT_LENGTH  # explicit: lru_cache keys on it, as _series_pair passes it
     return LatticeEntry(
         name=name,
         dimension=dimension,
         root_system=system,
         root_count=system.count,
         coxeter_number=hs.pop() if len(hs) == 1 else None,
-        theta=modforms.theta_even_unimodular(dimension, system.count, length),
-        cusp=modforms.cusp_normalized(dimension, length) if dimension != 8 else None,
+        theta=modforms.theta_even_unimodular(dimension, system.count),
+        cusp=modforms.cusp_normalized(dimension) if dimension != 8 else None,
         with_gram=with_gram,
     )
 

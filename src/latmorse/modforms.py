@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from types import MappingProxyType
+
+from .records import Frozen
 
 DEFAULT_LENGTH = 64
 
@@ -116,17 +118,25 @@ def _sigma_table(k: int, length: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QSeries:
+class QSeries(Frozen):
     """Truncated q-expansion sum_m c_m q^m with exact coefficients (int or Fraction).
 
     ``weight`` is the modular weight, carried so arithmetic can check that
     sums stay inside one space.  ``coeffs[m]`` is the coefficient of q^m;
-    the truncation order is ``len(coeffs)``.
+    the truncation order is ``len(coeffs)``.  Equal weights and coefficients
+    make equal series.
     """
 
-    weight: int
-    coeffs: tuple[int | Fraction, ...]
+    def __init__(self, weight: int, coeffs: tuple[int | Fraction, ...]) -> None:
+        self.__dict__.update(weight=weight, coeffs=coeffs)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.weight == other.weight and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.weight, self.coeffs))
 
     @property
     def length(self) -> int:
@@ -231,7 +241,26 @@ def _combine(base, row, factor: Fraction, denominator: int = 1) -> tuple:
     return tuple(c // q if c % q == 0 else Fraction(c, q) for c in nums)
 
 
-@lru_cache(maxsize=16)
+def _cached_on_length(maxsize: int):
+    """``lru_cache`` keyed with ``length``, the last parameter, filled in: a bare
+    one keys f(24, 0), f(24, 0, 64) and f(24, 0, length=64) apart."""
+    def decorate(fn):
+        cached = lru_cache(maxsize)(fn)
+        before = fn.__code__.co_argcount - 1  # parameters before ``length``
+
+        @wraps(fn)
+        def call(*args, **kwargs):
+            if len(args) == before:
+                args += (kwargs.pop("length", DEFAULT_LENGTH),)
+            return cached(*args, **kwargs)
+
+        call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+        return call
+
+    return decorate
+
+
+@_cached_on_length(maxsize=16)
 def discriminant(length: int = DEFAULT_LENGTH) -> QSeries:
     """The normalized weight-12 cusp form (E4^3 - E6^2) / 1728."""
     return QSeries(12, _basis(length)["Delta"])
@@ -242,7 +271,7 @@ def eisenstein_first_coeff(k: int) -> Fraction:
     return Fraction(-2 * k) / bernoulli(k)
 
 
-@lru_cache(maxsize=128)
+@_cached_on_length(maxsize=128)
 def cusp_normalized(n: int, length: int = DEFAULT_LENGTH) -> QSeries:
     """Normalized cusp form of weight n/2 + 4 for dimension n in {16, 24, 32}.
 
@@ -256,7 +285,7 @@ def cusp_normalized(n: int, length: int = DEFAULT_LENGTH) -> QSeries:
     return QSeries(n // 2 + 4, _basis(length)[rows[n]])
 
 
-@lru_cache(maxsize=256)
+@_cached_on_length(maxsize=256)
 def theta_even_unimodular(n: int, root_count, length: int = DEFAULT_LENGTH) -> QSeries:
     """Theta series of an even unimodular lattice of dimension n.
 
@@ -315,11 +344,10 @@ def round_up_significant(x: float, digits: int) -> float:
     return math.ceil(x * scale - 1e-12) / scale
 
 
-@dataclass(frozen=True)
-class CoeffBound:
+class CoeffBound(namedtuple("CoeffBound", "terms")):
     """Certified bound sum_i c_i * m^(e_i) on |a_m|, all m >= 1."""
 
-    terms: tuple[tuple[float, int], ...]
+    __slots__ = ()
 
     def eval(self, m: int) -> float:
         return sum(c * float(m) ** e for c, e in self.terms)

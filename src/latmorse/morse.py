@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import modforms, symspace
 from .latcat import LatticeEntry
+from .records import Frozen
 from .rootsys import second_moment, second_moment_blocks
 
 CLASS_LOCAL_MIN = "LocalMin"
@@ -71,9 +72,15 @@ class Inapplicable(ValueError):
 
 
 def truncate_decimal(x: float, digits: int) -> float:
-    """Truncate toward zero to the given number of decimal places."""
+    """Truncate toward zero to the given number of decimal places.
+
+    Once 10^-digits is below the spacing of floats at x, x comes back as it
+    is.  Past 10^308 the scale is no float, and the product is exact.
+    """
+    if 10.0**-digits < math.ulp(x):
+        return x
     scale = 10**digits
-    return math.trunc(x * scale) / scale
+    return math.trunc(x * scale if digits <= 308 else Fraction(x) * scale) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +88,7 @@ def truncate_decimal(x: float, digits: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Fold:
+class _Fold(namedtuple("_Fold", "at scale rel arg_rel")):
     """The side ``at`` where a request at alpha sums its series.
 
     Every catalog lattice is unimodular, so Poisson summation gives
@@ -107,10 +113,7 @@ class _Fold:
     scale a radius back.
     """
 
-    at: float
-    scale: float
-    rel: float
-    arg_rel: float
+    __slots__ = ()
 
     @property
     def side(self) -> str:
@@ -183,21 +186,20 @@ def _fold(entry: LatticeEntry, alpha: float, error: type[Exception]) -> _Fold:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class CriticalityResult:
+class CriticalityResult(Frozen):
     """Outcome of the exact root-shell second-moment test.
 
-    ``blocks`` lists (size, moment) pairs covering all n coordinates: one per
-    irreducible component with its exact per-axis second moment 2h, plus a
-    zero-moment block for coordinates outside the root span.  ``target`` is
-    the isotropic value 2 a_1 / n, and ``defects`` the per-block deviations.
+    ``kind`` is "critical_all_alpha" or "moment_defect".  ``blocks`` lists
+    (size, moment) pairs covering all n coordinates: one per irreducible
+    component with its exact per-axis second moment 2h, plus a zero-moment
+    block for coordinates outside the root span.  ``target`` is the isotropic
+    value 2 a_1 / n, and ``defects`` the per-block deviations.
     """
 
-    kind: str  # "critical_all_alpha" | "moment_defect"
-    target: Fraction
-    blocks: tuple[tuple[int, Fraction], ...]
-    defects: tuple[Fraction, ...]
-    reason: str
+    def __init__(self, kind: str, target: Fraction, blocks: tuple[tuple[int, Fraction], ...],
+                 defects: tuple[Fraction, ...], reason: str) -> None:
+        self.__dict__.update(kind=kind, target=target, blocks=blocks, defects=defects,
+                             reason=reason)
 
     @property
     def is_critical(self) -> bool:
@@ -245,36 +247,22 @@ def criticality(entry: LatticeEntry) -> CriticalityResult:
     assert sum(size * d for (size, _), d in zip(blocks, defects)) == 0
 
     if all(d == 0 for d in defects):
-        reason = (
+        kind, reason = "critical_all_alpha", (
             "every block of the root-shell second moment equals 2 a_1 / n, and "
             "the degree-2 harmonic theta series, a cusp form of weight n/2 + 2, "
             "is then forced to vanish (its space is trivial for n <= 24 and "
             "detected by the root-shell coefficient for n = 32), so every shell "
             "is a 2-design and the gradient vanishes at every alpha"
         )
-        return CriticalityResult(
-            kind="critical_all_alpha",
-            target=target,
-            blocks=tuple(blocks),
-            defects=defects,
-            reason=reason,
+    else:
+        kind, reason = "moment_defect", (
+            "the root-shell second moment is not isotropic; pairing the gradient "
+            "with the witness direction isolates a nonzero root-shell term"
         )
-
-    reason = (
-        "the root-shell second moment is not isotropic; pairing the gradient "
-        "with the witness direction isolates a nonzero root-shell term"
-    )
-    return CriticalityResult(
-        kind="moment_defect",
-        target=target,
-        blocks=tuple(blocks),
-        defects=defects,
-        reason=reason,
-    )
+    return CriticalityResult(kind, target, tuple(blocks), defects, reason)
 
 
-@dataclass(frozen=True, eq=False)
-class Certificate:
+class Certificate(Frozen):
     """Proof that the gradient pairing with ``direction`` is nonzero.
 
     root_term is the exact contribution of the norm-2 shell; remainder bounds
@@ -282,14 +270,14 @@ class Certificate:
     coefficient-bound tail beyond).  Validity: root_term > remainder.  Below
     alpha = pi both are scaled back from pi^2 / alpha, and ``constants``
     (which describe the side summed) gain ``dual_alpha`` and ``scale``.
+    ``_direction`` is the caller's direction, or the CriticalityResult whose
+    witness it is.
     """
 
-    lattice: str
-    alpha: float
-    _direction: object  # the caller's direction, or the CriticalityResult whose witness it is
-    root_term: float
-    remainder: float
-    constants: dict
+    def __init__(self, lattice: str, alpha: float, _direction: object, root_term: float,
+                 remainder: float, constants: dict) -> None:
+        self.__dict__.update(lattice=lattice, alpha=alpha, _direction=_direction,
+                             root_term=root_term, remainder=remainder, constants=constants)
 
     @property
     def direction(self) -> np.ndarray:
@@ -402,14 +390,10 @@ def noncritical_certificate(entry: LatticeEntry, alpha: float, direction=None) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectralLine:
+class SpectralLine(namedtuple("SpectralLine", "q_eigenvalue multiplicity value error_radius")):
     """One Hessian eigenvalue: Q-eigenvalue lambda, multiplicity, certified mu."""
 
-    q_eigenvalue: int
-    multiplicity: int
-    value: float
-    error_radius: float
+    __slots__ = ()
 
     @property
     def sign(self) -> int:
@@ -420,19 +404,16 @@ class SpectralLine:
         return 0
 
 
-@dataclass(frozen=True, eq=False)
-class SpectrumReport:
+class SpectrumReport(Frozen):
     """Certified spectrum at ``alpha``; ``side`` says where the series were
     summed: "direct" at alpha, or "dual" at pi^2 / alpha (alpha < pi)."""
 
-    lattice: str
-    alpha: float
-    terms: int
-    lines: tuple[SpectralLine, ...]
-    classification: str
-    morse_index: int | None
-    margin: float
-    side: str = "direct"
+    def __init__(self, lattice: str, alpha: float, terms: int, lines: tuple[SpectralLine, ...],
+                 classification: str, morse_index: int | None, margin: float,
+                 side: str = "direct") -> None:
+        self.__dict__.update(lattice=lattice, alpha=alpha, terms=terms, lines=lines,
+                             classification=classification, morse_index=morse_index,
+                             margin=margin, side=side)
 
     def to_json_dict(self) -> dict:
         def f(x: float) -> float:
@@ -621,10 +602,7 @@ def _spectrum(entry: LatticeEntry, alpha: float, tol: float, fold: _Fold) -> Spe
         coef = lam * n * (n + 2) - 8 * a1
         if entry.cusp is None:
             assert coef == 0, "dimension-8 spectrum must not touch the cusp series"
-        mu, radius = _eigenvalue(fold, n, sums, tails, coef)
-        lines.append(
-            SpectralLine(q_eigenvalue=lam, multiplicity=mult, value=mu, error_radius=radius)
-        )
+        lines.append(SpectralLine(lam, mult, *_eigenvalue(fold, n, sums, tails, coef)))
     radius = max(line.error_radius for line in lines)
     if not radius <= tol:
         tail = tail_part(*tails)  # every part of a radius grows with |coef|
@@ -634,17 +612,8 @@ def _spectrum(entry: LatticeEntry, alpha: float, tol: float, fold: _Fold) -> Spe
             f"part {radius - tail:.3g}, which more terms cannot reduce"
         )
 
-    classification, index, margin = classify(lines)
-    return SpectrumReport(
-        lattice=entry.name,
-        alpha=alpha,
-        terms=terms,
-        lines=tuple(lines),
-        classification=classification,
-        morse_index=index,
-        margin=margin,
-        side=fold.side,
-    )
+    # classify returns (classification, morse_index, margin), the fields in that order
+    return SpectrumReport(entry.name, alpha, terms, tuple(lines), *classify(lines), fold.side)
 
 
 def spectrum_partial(entry: LatticeEntry, alpha: float, lam: int, m_terms: int) -> float:
@@ -705,11 +674,7 @@ def isotropic_hessian_series(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeformationCheck:
-    measured_ratio: float
-    expected_ratio: float
-    agree: bool
+DeformationCheck = namedtuple("DeformationCheck", "measured_ratio expected_ratio agree")
 
 
 def deformation_check(

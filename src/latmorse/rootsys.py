@@ -18,16 +18,18 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
+
+from .records import Frozen
 
 
 class InvalidRank(ValueError):
     """Rank outside the family's defined range."""
 
 
-@dataclass(frozen=True)
-class RootSystemProperties:
+class RootSystemProperties(namedtuple(
+        "RootSystemProperties", "count coxeter_number orthogonal_count unit_pair_count weyl_order")):
     """Closed-form invariants of an irreducible system.
 
     ``orthogonal_count`` is the number of roots orthogonal to a fixed root,
@@ -36,11 +38,7 @@ class RootSystemProperties:
     count = 2 + orthogonal_count + 2 * unit_pair_count.
     """
 
-    count: int
-    coxeter_number: int
-    orthogonal_count: int
-    unit_pair_count: int
-    weyl_order: int
+    __slots__ = ()
 
 
 def _sorted_rows(rows: list[tuple[int, ...]]) -> np.ndarray:
@@ -102,10 +100,9 @@ def _gram_schmidt(columns: np.ndarray) -> np.ndarray:
     return q
 
 
-@dataclass(frozen=True, eq=False)
-class IrreducibleRootSystem:
-    kind: str
-    rank: int
+class IrreducibleRootSystem(Frozen):
+    def __init__(self, kind: str, rank: int) -> None:
+        self.__dict__.update(kind=kind, rank=rank)
 
     @property
     def name(self) -> str:
@@ -205,11 +202,11 @@ def properties(system: IrreducibleRootSystem) -> RootSystemProperties:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class RootSystem:
+class RootSystem(Frozen):
     """Orthogonal direct sum of irreducible systems (possibly empty)."""
 
-    components: tuple[IrreducibleRootSystem, ...]
+    def __init__(self, components: tuple[IrreducibleRootSystem, ...]) -> None:
+        self.__dict__.update(components=components)
 
     @property
     def total_rank(self) -> int:

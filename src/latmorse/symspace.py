@@ -17,7 +17,7 @@ Conventions: matrices act in the root system's orthonormal frame coordinates;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .rootsys import IrreducibleRootSystem, RootSystem, direct_sum
@@ -123,12 +123,10 @@ def quartic_values(system: RootSystem | IrreducibleRootSystem, h) -> np.ndarray:
     return np.einsum("ri,ij,rj->r", rows, h, rows)
 
 
-@dataclass(frozen=True)
-class QSpectrum:
+class QSpectrum(namedtuple("QSpectrum", "space_dim entries")):
     """Eigenvalues of Q on T0^n with multiplicities, ascending."""
 
-    space_dim: int
-    entries: tuple[tuple[float, int], ...]
+    __slots__ = ()
 
     @property
     def multiplicity_total(self) -> int:
@@ -342,12 +340,7 @@ def subspace_basis(system: IrreducibleRootSystem, which: str) -> list[np.ndarray
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DesignCheck:
-    strength: int
-    radius_sq: float
-    residual: float
-    passed: bool
+DesignCheck = namedtuple("DesignCheck", "strength radius_sq residual passed")
 
 
 def design_check(points, t: int) -> DesignCheck:
@@ -394,15 +387,10 @@ def design_check(points, t: int) -> DesignCheck:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HarmonicParts:
+class HarmonicParts(namedtuple("HarmonicParts", "n h h_squared trace_sq p0")):
     """Decomposition H[x]^2 = p4(x) + |x|^2 p2(x) + |x|^4 p0 with p4, p2 harmonic."""
 
-    n: int
-    h: np.ndarray
-    h_squared: np.ndarray
-    trace_sq: float
-    p0: float
+    __slots__ = ()
 
     def quartic(self, x) -> float:
         import numpy as np

@@ -235,6 +235,20 @@ def test_analyze_paper_digits(capsys):
     assert "0.36093" in out
 
 
+def _mus(out: str) -> list[float]:
+    """The mu column of every spectrum table row in the output."""
+    rows = [line.split("|") for line in out.splitlines() if line.startswith("| ")]
+    return [float(cells[3]) for cells in rows if cells[1].strip().isdigit()]
+
+
+def test_analyze_paper_digits_past_float_resolution(capsys):
+    # 10^-400 is below every float's spacing: mu prints as it is, no OverflowError
+    code, wide, err = _run(capsys, ["analyze", "E8", "--paper-digits", "400"])
+    assert code == 0, err
+    _, plain, _ = _run(capsys, ["analyze", "E8"])
+    assert _mus(wide) == _mus(plain) and len(_mus(plain)) == 1
+
+
 def test_table24(capsys):
     code, out, _ = _run(capsys, ["table24", "--paper-digits", "4"])
     assert code == 0
@@ -375,3 +389,13 @@ def test_cli_import_lists_no_numpy():
     assert run.returncode == 0, run.stderr
     assert "latmorse.cli" in run.stderr
     assert "numpy" not in run.stderr
+
+
+def test_cli_import_lists_no_code_generator():
+    run = _fresh_python("-X", "importtime", "-c", "import latmorse.cli")
+    assert run.returncode == 0, run.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()}
+    assert "latmorse.cli" in imported
+    assert not {"dataclasses", "inspect"} & imported
+    package = Path(cli.__file__).resolve().parent
+    assert [p.name for p in package.rglob("*.py") if "dataclasses" in p.read_text()] == []

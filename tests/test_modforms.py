@@ -356,3 +356,13 @@ def test_coeff_bound_series_tail_consistency():
     shifted = bound.series_tail(j, alpha, extra_exponent=2)
     direct2 = 2.0 * mf.tail_bound(j, 5, alpha) + 5.0 * mf.tail_bound(j, 3, alpha)
     assert shifted == pytest.approx(direct2, rel=1e-15)
+
+
+def test_series_caches_key_on_the_length_filled_in():
+    n = mf.DEFAULT_LENGTH
+    assert mf.theta_even_unimodular(24, 0) is mf.theta_even_unimodular(24, 0, n)
+    assert mf.theta_even_unimodular(24, 0) is mf.theta_even_unimodular(24, 0, length=n)
+    assert mf.cusp_normalized(32) is mf.cusp_normalized(32, n) is mf.cusp_normalized(32, length=n)
+    assert mf.discriminant() is mf.discriminant(n) is mf.discriminant(length=n)
+    assert mf.discriminant(12) is mf.discriminant(length=12)
+    assert mf.theta_even_unimodular(n=8, root_count=240) == mf.theta_even_unimodular(8, 240)
