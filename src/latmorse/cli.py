@@ -54,12 +54,19 @@ def _fmt(x: float, digits: int | None) -> str:
 
 
 def _resolve_entry(args) -> latcat.LatticeEntry:
+    """The catalog entry, or make_entry's off the catalog or at another --dim."""
     try:
-        return latcat.get(args.lattice)
+        entry = latcat.get(args.lattice)
     except latcat.UnknownLattice:
         if args.dim is None:
             raise
-        return latcat.make_entry(args.lattice, args.dim, args.root_count)
+        entry = None
+    if entry is None or args.dim not in (None, entry.dimension):
+        entry = latcat.make_entry(args.lattice, args.dim)
+    if args.root_count not in (None, entry.root_count):
+        raise ValueError(f"root count {args.root_count} contradicts {entry.name}, "
+                         f"which has {entry.root_count} roots")
+    return entry
 
 
 def _markdown_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -353,9 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
         if lattice_arg:
             p.add_argument("lattice", help="catalog name or root-system string")
             p.add_argument("--dim", type=int, default=None,
-                           help="lattice dimension for non-catalog root systems")
+                           help="lattice dimension; required for non-catalog root systems")
             p.add_argument("--root-count", type=int, default=None,
-                           help="root count of a non-catalog entry (must match it)")
+                           help="root count of the entry (must match it)")
 
     p = sub.add_parser("analyze", help="criticality, spectrum, classification")
     common(p, lattice_arg=True)

@@ -214,7 +214,7 @@ def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=32)
 def _basis(length: int) -> MappingProxyType:
-    """E4, E4^2, E4^3, Delta, E4 Delta, E4^2 Delta, 3617 E16 to ``length`` terms.
+    """E4, E6, E4^2, E4^3, Delta, E4 Delta, E4^2 Delta, 3617 E16 to ``length`` terms.
 
     Delta = (E4^3 - E6^2) / 1728 is an exact integer division.
     """
@@ -228,7 +228,7 @@ def _basis(length: int) -> MappingProxyType:
     assert delta[:2] == (0, 1)[:length]
     e4_delta = _convolve(e4, delta)
     return MappingProxyType({
-        "E4": e4, "E4^2": e4_sq, "E4^3": e4_cube, "Delta": delta, "E4 Delta": e4_delta,
+        "E4": e4, "E6": e6, "E4^2": e4_sq, "E4^3": e4_cube, "Delta": delta, "E4 Delta": e4_delta,
         "E4^2 Delta": _convolve(e4, e4_delta),
         "3617 E16": (3617,) + tuple(16320 * s for s in _sigma_table(15, length)[1:]),
     })

@@ -6,8 +6,10 @@ questions about it reduce to q-series with certified tails:
 
 * criticality is decided exactly by second moments of the root shell, since
   the degree-2 harmonic theta series is a cusp form whose weight-(n/2 + 2)
-  space is trivial for n <= 24 and one-dimensional, detected by its first
-  coefficient, for n = 32;
+  space is trivial for n <= 24 and spanned by Delta E6 = q - 528 q^2 - ...
+  for n = 32: there <H, S_m> = c_m <H, S_1> for traceless H, so a moment
+  defect's gradient pairing is -alpha <H, S_1> Delta E6(e^(-2 alpha)), one
+  q-series certified like an eigenvalue;
 
 * at a critical lattice the traceless Hessian diagonalizes along the
   eigenspaces of the root-shell quartic form Q, and each eigenvalue is an
@@ -23,6 +25,7 @@ classification are certificates, not estimates.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -31,7 +34,7 @@ from functools import cached_property, lru_cache
 from . import modforms, symspace
 from .latcat import LatticeEntry
 from .records import Frozen
-from .rootsys import second_moment, second_moment_blocks
+from .rootsys import second_moment_blocks
 
 CLASS_LOCAL_MIN = "LocalMin"
 CLASS_LOCAL_MAX = "LocalMax"
@@ -43,10 +46,9 @@ _ROUNDOFF = 1e-13
 # unit roundoff of float64
 _U = 2.0**-53
 
-# m <= _EXACT_TERMS summed exactly in a certificate; the tail bound beyond
-# needs 2 at (_EXACT_TERMS + 1) >= 16, which holds at every at >= pi a
-# certificate sums at
-_EXACT_TERMS = 8
+# m <= _EXACT_TERMS of Delta E6 summed in a certificate; the tail bound beyond
+# needs 2 at (_EXACT_TERMS + 1) >= 9, true at every at >= pi it sums at
+_EXACT_TERMS = 16
 
 # largest x = 2 alpha' m of the leading dual shell that the fold accepts: the
 # certified tails bottom out at modforms' exp floor e^-700 (just above the
@@ -98,8 +100,8 @@ class _Fold(namedtuple("_Fold", "at scale rel arg_rel")):
     For alpha < pi the series at alpha' > pi converge fast (16 terms).
 
     At alpha >= pi the fold is the identity: at = alpha, scale = 1 and
-    rel = arg_rel = 0, so ``spectral`` and ``certificate`` return their
-    inputs bit for bit (1.0 v == v and 1.0 (1.0 + 0.0) (r + 0.0) == r).
+    rel = arg_rel = 0, so ``spectral`` returns its inputs bit for bit
+    (1.0 v == v and 1.0 (1.0 + 0.0) (r + 0.0) == r).
 
     Error model of the dual side, u = 2^-53.  ``at`` = fl(fl(pi pi) / alpha)
     is within arg_rel = 3u of pi^2 / alpha: math.pi is within 0.36u of pi,
@@ -131,17 +133,6 @@ class _Fold(namedtuple("_Fold", "at scale rel arg_rel")):
         """
         extra = self.rel * magnitude + self.arg_rel * envelope
         return self.scale * value, self.scale * (1.0 + self.rel) * (radius + extra)
-
-    def certificate(self, root_term, remainder, terms):
-        """(root term, remainder) at alpha, rounded down and up respectively.
-
-        The root term at e^(-2 at) P and the summands of the remainder
-        through m = ``terms`` move by at most (2 at terms + 1) times a
-        relative change of alpha'; the certified tail carries a 1e-9
-        inflation, far above that.
-        """
-        slack = self.rel + self.arg_rel * (2.0 * self.at * terms + 1.0)
-        return self.scale * root_term * (1.0 - slack), self.scale * remainder * (1.0 + slack)
 
 
 def _direct_side(alpha: float) -> _Fold:
@@ -256,8 +247,10 @@ def criticality(entry: LatticeEntry) -> CriticalityResult:
         )
     else:
         kind, reason = "moment_defect", (
-            "the root-shell second moment is not isotropic; pairing the gradient "
-            "with the witness direction isolates a nonzero root-shell term"
+            "the root-shell second moment is not isotropic: in dimension 32 the "
+            "gradient pairing with the traceless witness H is -alpha <H, S_1> "
+            "Delta E6(e^(-2 alpha)), nonzero at every alpha but pi; for n <= 24 "
+            "no even unimodular lattice has this root shell"
         )
     return CriticalityResult(kind, target, tuple(blocks), defects, reason)
 
@@ -265,9 +258,10 @@ def criticality(entry: LatticeEntry) -> CriticalityResult:
 class Certificate(Frozen):
     """Proof that the gradient pairing with ``direction`` is nonzero.
 
-    root_term is the exact contribution of the norm-2 shell; remainder bounds
-    everything else (exact partial sums for 2 <= m <= exact_terms, certified
-    coefficient-bound tail beyond).  Validity: root_term > remainder.  Below
+    root_term is the m = 1 term of -alpha <H, S_1> Delta E6(e^(-2 alpha)),
+    rounded down; remainder is |its terms 2..exact_terms| plus their radius
+    (certified tail, roundoff, fold error), so root_term - remainder bounds
+    |pairing| from below and validity is root_term > remainder.  Below
     alpha = pi both are scaled back from pi^2 / alpha, and ``constants``
     (which describe the side summed) gain ``dual_alpha`` and ``scale``.
     ``_direction`` is the caller's direction, or the CriticalityResult whose
@@ -294,21 +288,33 @@ class Certificate(Frozen):
         return self.root_term - self.remainder
 
 
+@lru_cache(maxsize=1)
+def _delta_e6() -> tuple[float, ...]:
+    """Delta E6 through q^_EXACT_TERMS from the cached basis rows, exact as floats."""
+    rows, cut = modforms._basis(modforms.DEFAULT_LENGTH), _EXACT_TERMS + 1
+    return tuple(map(float, modforms._convolve(rows["Delta"][:cut], rows["E6"][:cut])))
+
+
 def noncritical_certificate(entry: LatticeEntry, alpha: float, direction=None) -> Certificate:
     """Certify <grad E, H> != 0 at this alpha, proving the point noncritical.
 
-    The pairing is -alpha sum_m e^(-2 alpha m) <H, S_m> with S_m the shell
-    second moment.  The m = 1 term is computed exactly; |<H, S_m>| for m >= 2
-    is bounded by max|eig H| * 2m * a_m, summed exactly up to m = 8 and
-    closed with the certified theta coefficient tail.  Below alpha = pi
-    the pairing is evaluated at pi^2 / alpha, where it is -1/s times the one
-    at alpha, and root term and remainder are scaled back by s (see _Fold).
-    Raises CertificateFails when the root term does not dominate.
+    In dimension 32 the pairing -alpha sum_m e^(-2 alpha m) <H, S_m> is
+    -alpha <H, S_1> Delta E6(e^(-2 alpha)) (module docstring), with <H, S_1>
+    exact: S_1 - (2 a_1 / n) I is each block's defect times the identity.
+    Delta E6 is summed through m = 16 at fold.at, closed with its
+    Jenkins-Rouse tail and scaled back as a spectral line is (see _Fold).
+    Raises CertificateFails when the sum does not clear its radius (alpha
+    within roundoff of pi, where E6(i) = 0), and Inapplicable for a moment
+    defect in dimension <= 24, where no even unimodular lattice has it.
     """
     modforms._check_alpha(alpha)
     if entry.root_count == 0:
         raise CertificateFails("no root shell: the leading gradient term is absent")
     crit = criticality(entry)
+    if not crit.is_critical and entry.dimension != 32:
+        raise Inapplicable(f"{entry.name}: a moment defect in dimension {entry.dimension}, "
+                           "where S_(n/2+2) is trivial: no even unimodular lattice has "
+                           "this root shell")
 
     if direction is None:
         if crit.is_critical:
@@ -316,32 +322,26 @@ def noncritical_certificate(entry: LatticeEntry, alpha: float, direction=None) -
                 f"{entry.name} is critical at every alpha; no witness direction exists"
             )
         direction = crit
-        # exact pairing: sum over blocks of size * defect * 2h
-        pairing = sum(
-            size * d * moment for (size, moment), d in zip(crit.blocks, crit.defects)
-        )
-        root_pairing = abs(float(pairing))
-        max_eig = max(abs(float(d)) for d in crit.defects)
+        traces = [size * d for (size, _), d in zip(crit.blocks, crit.defects)]
     else:
         import numpy as np
 
         direction = np.asarray(direction, dtype=float)
-        n = entry.dimension
-        if direction.shape != (n, n):
+        if direction.shape != (entry.dimension,) * 2:
             raise ValueError("direction has the wrong shape")
-        if abs(float(np.trace(direction))) > 1e-12 * max(1.0, float(np.abs(direction).max())):
+        largest = max(1.0, float(np.abs(direction).max()))
+        if abs(float(np.trace(direction))) > 1e-12 * largest:
             raise ValueError("direction must be traceless")
-        s1 = second_moment(entry.root_system)
-        pad = np.zeros((n, n))
-        r = s1.shape[0]
-        pad[:r, :r] = s1
-        # float pairing, deflated; the witness route keeps this exact
-        root_pairing = abs(float(np.sum(pad * direction))) * (1.0 - 1e-9)
-        max_eig = float(np.max(np.abs(np.linalg.eigvalsh(direction)))) * (1.0 + 1e-9)
+        if float(np.abs(direction - direction.T).max()) > 1e-12 * largest:
+            raise ValueError("direction must be symmetric")
+        diagonal = iter(map(Fraction, np.diagonal(direction).tolist()))
+        traces = [sum(itertools.islice(diagonal, size)) for size, _ in crit.blocks]
+    # <H - (tr H / n) I, S_1>, exact: S_1 - target I is defect * identity on each block
+    root_pairing = abs(float(sum(d * t for d, t in zip(crit.defects, traces))))
 
     if root_pairing <= 0:
         raise CertificateFails("direction pairs to zero with the root-shell moment")
-    if entry.dimension == 32 and alpha == math.pi:
+    if alpha == math.pi:
         raise CertificateFails(
             "root term cannot dominate: every 32-dimensional even unimodular lattice "
             "is critical at alpha = pi, where the gradient pairing, <H, S_1> times "
@@ -350,39 +350,31 @@ def noncritical_certificate(entry: LatticeEntry, alpha: float, direction=None) -
 
     fold = _fold(entry, alpha, CertificateFails)
     at = fold.at
-
-    root_term = at * math.exp(-2.0 * at) * root_pairing
-
-    a = entry.series_floats(_EXACT_TERMS + 1)[0][: _EXACT_TERMS + 1].tolist()
-    partial = math.fsum(a[m] * 2.0 * m * math.exp(-2.0 * at * m) for m in range(2, len(a)))
-    tail = 2.0 * entry.coeff_bound().series_tail(_EXACT_TERMS + 1, at, extra_exponent=1)
-    remainder = at * max_eig * (partial * (1.0 + _ROUNDOFF) + tail)
-    constants = {
-        "root_pairing": root_pairing,
-        "max_abs_eigenvalue": max_eig,
-        "partial_sum": partial,
-        "tail": tail,
-    }
-    root_term, remainder = fold.certificate(root_term, remainder, _EXACT_TERMS)
+    root = at * math.exp(-2.0 * at) * root_pairing
+    value, radius = fold.spectral(root, 0.0, root, (2.0 * at + 1.0) * root)
+    root_term = value - radius
+    # m >= 2: their 1e-13 roundoff also covers the root term's ulps where the two are close
+    terms = [c * math.exp(-2.0 * at * m) for m, c in enumerate(_delta_e6()) if m > 1]
+    partial = math.fsum(terms)
+    assert partial <= 0.0, "Delta E6 - q is negative at q < e^(-2 pi), where E6 > 0"
+    abs_sum = math.fsum(map(abs, terms))
+    envelope = math.fsum((2.0 * at * m + 1.0) * abs(t) for m, t in enumerate(terms, 2))
+    tail = _cusp_bound(18).series_tail(_EXACT_TERMS + 1, at)
+    weight = at * root_pairing
+    value, radius = fold.spectral(weight * partial, weight * (tail + _ROUNDOFF * abs_sum),
+                                  weight * abs_sum, weight * envelope)
+    remainder = radius - value
+    constants = {"root_pairing": root_pairing, "partial_sum": partial, "tail": tail}
     where = f"alpha = {alpha:g}"
     if fold.side == "dual":
         constants.update(dual_alpha=at, scale=fold.scale)
         where += f" (summed at pi^2/alpha = {at:g})"
-
-    cert = Certificate(
-        lattice=entry.name,
-        alpha=alpha,
-        _direction=direction,
-        root_term=root_term,
-        remainder=remainder,
-        constants=constants,
-    )
     if not root_term > remainder:
         raise CertificateFails(
             f"root term {root_term:.6g} does not dominate remainder {remainder:.6g} "
             f"at {where}"
         )
-    return cert
+    return Certificate(entry.name, alpha, direction, root_term, remainder, constants)
 
 
 # ---------------------------------------------------------------------------
@@ -517,13 +509,14 @@ def _tails(entry: LatticeEntry, at: float, terms: int) -> tuple[float, float]:
     a_tail = 4.0 * at * at * entry.coeff_bound().series_tail(terms + 1, at, extra_exponent=2)
     if entry.cusp is None:
         return a_tail, 0.0
-    return a_tail, (at * at / 2.0) * _cusp_bound(entry.dimension).series_tail(terms + 1, at)
+    cusp = _cusp_bound(entry.dimension // 2 + 4)
+    return a_tail, (at * at / 2.0) * cusp.series_tail(terms + 1, at)
 
 
 @lru_cache(maxsize=4)
-def _cusp_bound(n: int) -> modforms.CoeffBound:
-    """Coefficient bound of the normalized weight-(n/2 + 4) cusp form."""
-    return modforms.cusp_coeff_bound(n // 2 + 4, (1,))
+def _cusp_bound(k: int) -> modforms.CoeffBound:
+    """Coefficient bound of the normalized weight-k cusp form q + ..."""
+    return modforms.cusp_coeff_bound(k, (1,))
 
 
 def _truncation(entry: LatticeEntry, at: float, tol: float, part) -> tuple[int, float, float]:

@@ -75,6 +75,20 @@ def test_inconsistent_root_count_exits_2(root_count, capsys):
     assert "Traceback" not in err
 
 
+def test_catalog_name_honours_dim_and_root_count(capsys):
+    # a --dim other than the catalog entry's builds the root system in that
+    # dimension: E8 in dimension 24 has a moment defect, which no lattice has
+    code, out, err = _run(capsys, ["analyze", "E8", "--dim", "24", "--format", "json"])
+    assert (code, out) == (2, "")
+    assert "no even unimodular lattice has this root shell" in err
+    for argv in (["analyze", "E8", "--root-count", "7"],
+                 ["sweep", "E8", "--dim", "8", "--root-count", "7", "--start", "4",
+                  "--stop", "5"]):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: root count 7 contradicts E8")
+
+
 @pytest.mark.parametrize("option", [["--alpha", "7"], ["--paper-digits", "2"],
                                     ["--format", "json"]])
 def test_sweep_rejects_report_options(option, capsys):
@@ -377,6 +391,7 @@ def _fresh_python(*args):
     ["dim32"],
     ["catalog"],
     ["sweep", "E8", "--start", "4", "--stop", "5", "--steps", "2"],
+    ["analyze", "A1^8+A3^8", "--alpha", "3"],
 ])
 def test_report_commands_run_without_numpy(argv):
     run = _fresh_python("-c", _REPORT_NO_NUMPY, *argv)

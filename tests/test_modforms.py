@@ -175,6 +175,7 @@ def _fraction_basis(length):
     delta = (e4 * e4 * e4 - e6 * e6).scale(Fraction(1, 1728))
     return {
         "E4": e4,
+        "E6": e6,
         "3617 E16": mf.eisenstein(16, length).scale(3617),
         "E4^2": e4 * e4,
         "E4^3": e4 * e4 * e4,
