@@ -457,7 +457,7 @@ def tail_bound(j: int, k: int, alpha: float) -> float:
             f"tail start j={j} below k/(2 alpha) = {k / (2 * alpha):.3f}"
         )
     x = 2.0 * alpha * j
-    first = math.exp(max(k * math.log(j) - x, _LOG_FLOOR)) if j > 1 else math.exp(-x)
+    first = math.exp(max(k * math.log(j) - x, _LOG_FLOOR))
     rest = incomplete_gamma(k + 1, x) * math.exp(
         max(-(k + 1) * math.log(2.0 * alpha), _LOG_FLOOR)
     )

@@ -213,6 +213,15 @@ class CriticalityResult(Frozen):
         witness.setflags(write=False)
         return witness
 
+    @cached_property
+    def witness_pairing(self) -> float:
+        """<W, S_1> = sum size d^2 for the witness W (0.0 when critical): an
+        integer sum of size (n d)^2 = size (n moment - 2 a_1)^2 over n^2, so
+        its one division rounds the exact value correctly."""
+        n = sum(size for size, _ in self.blocks)
+        return sum(size * (d.numerator * (n // d.denominator)) ** 2
+                   for (size, _), d in zip(self.blocks, self.defects)) / (n * n)
+
 
 @lru_cache(maxsize=64)
 def criticality(entry: LatticeEntry) -> CriticalityResult:
@@ -322,7 +331,7 @@ def noncritical_certificate(entry: LatticeEntry, alpha: float, direction=None) -
                 f"{entry.name} is critical at every alpha; no witness direction exists"
             )
         direction = crit
-        traces = [size * d for (size, _), d in zip(crit.blocks, crit.defects)]
+        root_pairing = crit.witness_pairing
     else:
         import numpy as np
 
@@ -336,8 +345,8 @@ def noncritical_certificate(entry: LatticeEntry, alpha: float, direction=None) -
             raise ValueError("direction must be symmetric")
         diagonal = iter(map(Fraction, np.diagonal(direction).tolist()))
         traces = [sum(itertools.islice(diagonal, size)) for size, _ in crit.blocks]
-    # <H - (tr H / n) I, S_1>, exact: S_1 - target I is defect * identity on each block
-    root_pairing = abs(float(sum(d * t for d, t in zip(crit.defects, traces))))
+        # <H - (tr H / n) I, S_1>, exact: S_1 - target I is defect * identity on each block
+        root_pairing = abs(float(sum(d * t for d, t in zip(crit.defects, traces))))
 
     if root_pairing <= 0:
         raise CertificateFails("direction pairs to zero with the root-shell moment")
@@ -365,14 +374,13 @@ def noncritical_certificate(entry: LatticeEntry, alpha: float, direction=None) -
                                   weight * abs_sum, weight * envelope)
     remainder = radius - value
     constants = {"root_pairing": root_pairing, "partial_sum": partial, "tail": tail}
-    where = f"alpha = {alpha:g}"
     if fold.side == "dual":
         constants.update(dual_alpha=at, scale=fold.scale)
-        where += f" (summed at pi^2/alpha = {at:g})"
     if not root_term > remainder:
+        where = f" (summed at pi^2/alpha = {at:g})" if fold.side == "dual" else ""
         raise CertificateFails(
             f"root term {root_term:.6g} does not dominate remainder {remainder:.6g} "
-            f"at {where}"
+            f"at alpha = {alpha:g}{where}"
         )
     return Certificate(entry.name, alpha, direction, root_term, remainder, constants)
 

@@ -325,6 +325,12 @@ def test_tail_bound_reference_values():
     assert 0 < mf.tail_bound(9, 10, math.pi) <= 1.2e-15
 
 
+def test_tail_bound_stays_positive_from_the_first_term():
+    # e^(-2 alpha) underflows here; the first term is floored like every other
+    assert mf.tail_bound(1, 19, 1000.0) > 0
+    assert mf.tail_bound(1, 0, 400.0) > 0
+
+
 def test_tail_bound_dominates_partial_sums():
     rng = np.random.default_rng(23)
     for _ in range(20):

@@ -562,6 +562,52 @@ def test_certificate_direction_is_the_witness():
     assert np.array_equal(given, direction)
 
 
+@pytest.mark.parametrize("entry, expected", [
+    (latcat.get("A1^8+A3^8"), 96.0),
+    (latcat.make_entry("A1^8", 32), 96.0),
+    (latcat.make_entry("A3^4+A1^4", 32), 440.0),
+    (latcat.get("E8"), 0.0),
+])
+def test_witness_pairing_is_the_exact_sum(entry, expected):
+    crit = morse.criticality(entry)
+    exact = sum(size * d * d for (size, _), d in zip(crit.blocks, crit.defects))
+    assert crit.witness_pairing == float(exact) == expected
+
+
+def test_warm_witness_certificate_does_no_fraction_arithmetic(monkeypatch):
+    defective = latcat.get("A1^8+A3^8")
+    alphas = (1.0, 3.0, 14.0)
+    warm = [morse.noncritical_certificate(defective, alpha) for alpha in alphas]
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic on a warm certificate")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    for alpha, cert in zip(alphas, warm):
+        again = morse.noncritical_certificate(defective, alpha)
+        assert (again.root_term, again.remainder) == (cert.root_term, cert.remainder)
+        assert again.constants == cert.constants
+
+
+def test_certificate_caller_direction_route_is_unchanged():
+    # diag(24^8, -8^24) is -8 times the witness: its pairing is 8 * 96, and scaling by
+    # a power of two rounds nothing, so each number is 8 times the witness's
+    defective = latcat.get("A1^8+A3^8")
+    direction = np.diag([24.0] * 8 + [-8.0] * 24)
+    pinned = {1.0: (1825.7002229886066, 0.0025788966656023244),
+              3.0: (7.335917607880142, 5.434757444187),
+              14.0: (7.434362994982106e-09, 2.7141396631974283e-18)}
+    for alpha, (root_term, remainder) in pinned.items():
+        cert = morse.noncritical_certificate(defective, alpha, direction)
+        witness = morse.noncritical_certificate(defective, alpha)
+        assert cert.constants["root_pairing"] == 768.0
+        assert cert.root_term == pytest.approx(root_term, rel=1e-15, abs=0)
+        assert cert.remainder == pytest.approx(remainder, rel=1e-15, abs=0)
+        assert (cert.root_term, cert.remainder) == (8 * witness.root_term,
+                                                    8 * witness.remainder)
+
+
 @pytest.mark.parametrize("alpha", [1e-19, 1e-40, 1e-300])
 def test_tiny_alpha_raises_underflow(alpha):
     # (pi/alpha)^(n/2) overflows here; the underflow guard must come first
