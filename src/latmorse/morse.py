@@ -24,7 +24,6 @@ classification are certificates, not estimates.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from collections import namedtuple
@@ -46,9 +45,10 @@ _ROUNDOFF = 1e-13
 # unit roundoff of float64
 _U = 2.0**-53
 
-# m <= _EXACT_TERMS of Delta E6 summed in a certificate; the tail bound beyond
-# needs 2 at (_EXACT_TERMS + 1) >= 9, true at every at >= pi it sums at
-_EXACT_TERMS = 16
+# m <= _TERMS summed by every spectrum and certificate; the certified tails
+# beyond need 2 alpha' (_TERMS + 1) >= n/2 + 1 (9 for the weight-18 Delta E6),
+# true at every alpha' >= pi a request sums at
+_TERMS = 16
 
 # largest x = 2 alpha' m of the leading dual shell that the fold accepts: the
 # certified tails bottom out at modforms' exp floor e^-700 (just above the
@@ -107,10 +107,10 @@ class _Fold(namedtuple("_Fold", "at scale rel arg_rel")):
     is within arg_rel = 3u of pi^2 / alpha: math.pi is within 0.36u of pi,
     then two roundings.  Partial sums take that into account through their
     envelopes; the certified tails carry a 1e-9 inflation, above its effect
-    on them: 2 alpha' M * 3u < 4e-12, since the fold sums at
-    pi < alpha' <= 330 and _truncation returns M <= max(17, 700 / alpha' + 1)
-    there.  ``scale`` = fl(fl(pi / alpha)^(n/2)) is within (0.75 n + 2)u of s:
-    the input error grows n/2-fold, plus one ulp of pow.  ``rel`` = (n + 8)u
+    on them: 2 alpha' m * 3u < 4e-12 at their first index m = _TERMS + 1,
+    since the fold sums at pi < alpha' <= 330.  ``scale`` =
+    fl(fl(pi / alpha)^(n/2)) is within (0.75 n + 2)u of s: the input error
+    grows n/2-fold, plus one ulp of pow.  ``rel`` = (n + 8)u
     adds the rounding of the product with s and of the few operations that
     scale a radius back.
     """
@@ -290,7 +290,7 @@ class Certificate(Frozen):
 
     @property
     def exact_terms(self) -> int:
-        return _EXACT_TERMS
+        return _TERMS
 
     @property
     def margin(self) -> float:
@@ -299,8 +299,8 @@ class Certificate(Frozen):
 
 @lru_cache(maxsize=1)
 def _delta_e6() -> tuple[float, ...]:
-    """Delta E6 through q^_EXACT_TERMS from the cached basis rows, exact as floats."""
-    rows, cut = modforms._basis(modforms.DEFAULT_LENGTH), _EXACT_TERMS + 1
+    """Delta E6 through q^_TERMS from the cached basis rows, exact as floats."""
+    rows, cut = modforms._basis(modforms.DEFAULT_LENGTH), _TERMS + 1
     return tuple(map(float, modforms._convolve(rows["Delta"][:cut], rows["E6"][:cut])))
 
 
@@ -336,6 +336,8 @@ def noncritical_certificate(entry: LatticeEntry, alpha: float, direction=None) -
         import numpy as np
 
         direction = np.asarray(direction, dtype=float)
+        if not np.isfinite(direction).all():  # every comparison below is False for NaN
+            raise ValueError("direction must be finite")
         if direction.shape != (entry.dimension,) * 2:
             raise ValueError("direction has the wrong shape")
         largest = max(1.0, float(np.abs(direction).max()))
@@ -368,7 +370,7 @@ def noncritical_certificate(entry: LatticeEntry, alpha: float, direction=None) -
     assert partial <= 0.0, "Delta E6 - q is negative at q < e^(-2 pi), where E6 > 0"
     abs_sum = math.fsum(map(abs, terms))
     envelope = math.fsum((2.0 * at * m + 1.0) * abs(t) for m, t in enumerate(terms, 2))
-    tail = _cusp_bound(18).series_tail(_EXACT_TERMS + 1, at)
+    tail = _cusp_bound(18).series_tail(_TERMS + 1, at)
     weight = at * root_pairing
     value, radius = fold.spectral(weight * partial, weight * (tail + _ROUNDOFF * abs_sum),
                                   weight * abs_sum, weight * envelope)
@@ -473,12 +475,6 @@ def classify(lines) -> tuple[str, int | None, float]:
     return CLASS_SADDLE, index, margin
 
 
-def _min_terms(n: int, alpha: float) -> int:
-    # tail majorization |2am(2am - (n/2+1))| <= (2am)^2 and the monotone-tail
-    # preconditions all hold once 2 alpha (M+1) >= n/2 + 1
-    return max(16, math.ceil((n / 2 + 1) / (2.0 * alpha)))
-
-
 def _kernel(entry: LatticeEntry, at: float, terms: int):
     """(Sa, sum |Sa summands|, Sb, sum |Sb summands|, Ea, Eb), one fsum each, over
     m = 1..terms of a_m x (x - c) e^-x and b_m (at^2 / 2) e^-x, x = 2 at m, c = n/2 + 1.
@@ -527,41 +523,6 @@ def _cusp_bound(k: int) -> modforms.CoeffBound:
     return modforms.cusp_coeff_bound(k, (1,))
 
 
-def _truncation(entry: LatticeEntry, at: float, tol: float, part) -> tuple[int, float, float]:
-    """(M, theta tail, cusp tail) for the smallest M >= _min_terms at which
-    ``part`` of the tails is <= tol/2, found before any coefficient is read.
-
-    The tails are nonincreasing in M and stop at e^-700 once M >= 700 / at:
-    a tol/2 below ``part`` there raises at once, as does a tol that is not > 0
-    and a tail that overflows float64 at M = _min_terms.
-    """
-    if not tol > 0:
-        raise ToleranceUnreachable(
-            f"roundoff-bound: tol {tol!r} is not positive, and every error radius "
-            "has a positive roundoff part"
-        )
-    low = _min_terms(entry.dimension, at)
-    tails = _tails(entry, at, low)
-    for tail, factor in zip(tails, ("4 alpha^2", "alpha^2 / 2")):
-        if not math.isfinite(tail):
-            raise ToleranceUnreachable(f"overflow: at alpha = {at:g} the factor {factor} "
-                                       "of a tail bound exceeds the float64 range")
-    if part(*tails) <= tol / 2:
-        return (low, *tails)
-    high = max(low + 1, math.ceil(700.0 / at))
-    floor = part(*_tails(entry, at, high))
-    if not floor <= tol / 2:
-        raise ToleranceUnreachable(
-            f"underflow: tol/2 = {tol / 2:.3g} is below {floor:.3g}, the tail part of an "
-            "error radius at any length (the tail bounds stop at e^-700)"
-        )
-    # part > tol/2 at low and <= tol/2 at high
-    terms = low + 1 + bisect.bisect_left(
-        range(low + 1, high + 1), True, key=lambda m: part(*_tails(entry, at, m)) <= tol / 2
-    )
-    return (terms, *_tails(entry, at, terms))
-
-
 def hessian_spectrum(entry: LatticeEntry, alpha: float, tol: float = 1e-10) -> SpectrumReport:
     """Certified traceless Hessian spectrum of a critical lattice at alpha.
 
@@ -569,11 +530,13 @@ def hessian_spectrum(entry: LatticeEntry, alpha: float, tol: float = 1e-10) -> S
     / (n(n+2)) with Sa, Sb series over theta and cusp coefficients.  Below
     alpha = pi the series are summed at pi^2 / alpha and scaled back by
     (pi/alpha)^(n/2) (``side`` = "dual", see _Fold).  They are summed once,
-    to the shortest length M whose certified tail part of every radius is
-    within tol/2 (_truncation).  Raises ToleranceUnreachable when a radius
-    still exceeds tol there (its roundoff part, which more terms only grow,
-    is then above tol/2), for a tol not above 0 or the tail floor, and where
-    dual-side weights underflow (alpha below about 0.03 to 0.06).
+    through m = 16 (_TERMS): at every alpha' >= pi the certified tail part of
+    a radius is then far below its roundoff part, which more terms only
+    grow.  Raises ToleranceUnreachable when a radius exceeds tol or its tail
+    part tol/2: with "roundoff-bound" when its roundoff part is above tol/2
+    (or tol is not above 0), with "underflow" when only its tail part is,
+    which happens at the tail bounds' e^-700 floor (alpha above about 20),
+    and where dual-side weights underflow (alpha below about 0.03 to 0.06).
     """
     modforms._check_alpha(alpha)
     crit = criticality(entry)
@@ -582,39 +545,40 @@ def hessian_spectrum(entry: LatticeEntry, alpha: float, tol: float = 1e-10) -> S
             f"{entry.name} has a root-shell moment defect; the Hessian spectrum "
             "formula applies only at critical lattices"
         )
-    return _spectrum(entry, alpha, tol, _fold(entry, alpha, ToleranceUnreachable))
-
-
-def _spectrum(entry: LatticeEntry, alpha: float, tol: float, fold: _Fold) -> SpectrumReport:
-    """hessian_spectrum summed at fold.at and scaled back through the fold."""
+    fold = _fold(entry, alpha, ToleranceUnreachable)
+    if not tol > 0:
+        raise ToleranceUnreachable(
+            f"roundoff-bound: tol {tol!r} is not positive, and every error radius "
+            "has a positive roundoff part"
+        )
+    tails = _tails(entry, fold.at, _TERMS)
+    for tail, factor in zip(tails, ("4 alpha^2", "alpha^2 / 2")):
+        if not math.isfinite(tail):
+            raise ToleranceUnreachable(f"overflow: at alpha = {fold.at:g} the factor {factor} "
+                                       "of a tail bound exceeds the float64 range")
     n = entry.dimension
-    a1 = entry.root_count
-    denom = float(n * (n + 2))
-    lam_rows = _lambda_spectrum(entry)
-    widest = max(abs(lam * n * (n + 2) - 8 * a1) for lam, _ in lam_rows)
-
-    def tail_part(a_tail, b_tail):
-        return fold.spectral(0.0, (a_tail + widest * b_tail) / denom, 0.0, 0.0)[1]
-
-    terms, *tails = _truncation(entry, fold.at, tol, tail_part)
-    sums = _kernel(entry, fold.at, terms)
-    lines = []
-    for lam, mult in lam_rows:
-        coef = lam * n * (n + 2) - 8 * a1
+    sums = _kernel(entry, fold.at, _TERMS)
+    lines, widest = [], 0
+    for lam, mult in _lambda_spectrum(entry):
+        coef = lam * n * (n + 2) - 8 * entry.root_count
         if entry.cusp is None:
             assert coef == 0, "dimension-8 spectrum must not touch the cusp series"
         lines.append(SpectralLine(lam, mult, *_eigenvalue(fold, n, sums, tails, coef)))
+        widest = max(widest, abs(coef))
+    # every part of a radius grows with |coef|: the widest line has the widest parts
     radius = max(line.error_radius for line in lines)
-    if not radius <= tol:
-        tail = tail_part(*tails)  # every part of a radius grows with |coef|
-        raise ToleranceUnreachable(
-            f"roundoff-bound: error radius {radius:.3g} exceeds tol {tol:.3g} at "
-            f"{terms} series terms; its tail part is {tail:.3g} and its roundoff "
-            f"part {radius - tail:.3g}, which more terms cannot reduce"
-        )
+    tail = fold.spectral(0.0, (tails[0] + widest * tails[1]) / (n * (n + 2)), 0.0, 0.0)[1]
+    if not (radius <= tol and tail <= tol / 2):
+        where = (f"at {_TERMS} series terms the error radius {radius:.3g} has tail part "
+                 f"{tail:.3g} and roundoff part {radius - tail:.3g}, against tol {tol:.3g}")
+        if radius - tail > tol / 2:
+            raise ToleranceUnreachable(f"roundoff-bound: {where}; the roundoff part is above "
+                                       "tol/2, and more terms cannot reduce it")
+        raise ToleranceUnreachable(f"underflow: {where}; the tail part is above tol/2, and "
+                                   "the tail bounds stop at e^-700 at any length")
 
     # classify returns (classification, morse_index, margin), the fields in that order
-    return SpectrumReport(entry.name, alpha, terms, tuple(lines), *classify(lines), fold.side)
+    return SpectrumReport(entry.name, alpha, _TERMS, tuple(lines), *classify(lines), fold.side)
 
 
 def spectrum_partial(entry: LatticeEntry, alpha: float, lam: int, m_terms: int) -> float:

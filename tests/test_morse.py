@@ -149,19 +149,13 @@ def test_classify_synthetic():
 
 
 def test_spectrum_adaptive_terms():
-    # shallow alpha folds onto pi^2/alpha, where a few terms reach the target
+    # one series length on both sides of the fold: shallow alpha sums 16 terms
+    # at pi^2/alpha, alpha = pi sums 16 at alpha itself
     report = morse.hessian_spectrum(latcat.get("E8"), 0.1, tol=1e-6)
-    assert report.side == "dual"
-    assert report.terms <= 32
+    assert (report.side, report.terms) == ("dual", 16)
     assert all(line.error_radius <= 1e-6 for line in report.lines)
     fast = morse.hessian_spectrum(latcat.get("E8"), ALPHA)
-    assert fast.terms == 16
-    assert fast.side == "direct"
-    # the length rule on the unfolded kernel: Leech at alpha = 2 needs more than 16
-    unfolded = morse._spectrum(latcat.get("Leech"), 2.0, 1e-10, morse._direct_side(2.0))
-    assert unfolded.terms > 16
-    assert unfolded.side == "direct"
-    assert all(line.error_radius <= 1e-10 for line in unfolded.lines)
+    assert (fast.side, fast.terms) == ("direct", 16)
 
 
 def test_tolerance_unreachable():
@@ -182,14 +176,8 @@ def _widest_tail_part(entry, alpha, terms):
     return (a_tail + widest * b_tail) / (n * (n + 2))
 
 
-@pytest.mark.parametrize(
-    "entry, alpha, tol",
-    # Leech at 2e-10: the tail part at 16 terms, 1.09e-10, lies in (tol/2, tol]
-    [(latcat.get("Leech"), 2.0, 1e-10), (latcat.get("Leech"), 2.0, 2e-10)]
-    + [(e, math.pi / 2, 1e-8) for e in CRITICAL],
-    ids=lambda v: getattr(v, "name", None),
-)
-def test_series_summed_once_at_shortest_length(entry, alpha, tol, monkeypatch):
+def _count_series_reads(monkeypatch) -> list[int]:
+    # the lengths of every series_floats call from now on
     lengths = []
     series_floats = latcat.LatticeEntry.series_floats
 
@@ -198,12 +186,39 @@ def test_series_summed_once_at_shortest_length(entry, alpha, tol, monkeypatch):
         return series_floats(self, length)
 
     monkeypatch.setattr(latcat.LatticeEntry, "series_floats", counted)
-    report = morse._spectrum(entry, alpha, tol, morse._direct_side(alpha))
-    assert lengths == [report.terms + 1]
-    assert _widest_tail_part(entry, alpha, report.terms) <= tol / 2
-    if report.terms > morse._min_terms(entry.dimension, alpha):
-        assert _widest_tail_part(entry, alpha, report.terms - 1) > tol / 2
+    return lengths
+
+
+@pytest.mark.parametrize(
+    "entry, alpha, tol",
+    # Leech at alpha = 2: summed at alpha itself, its tail part at 16 terms
+    # (1.09e-10) would exceed tol/2; the fold sums at pi^2/2 instead
+    [(latcat.get("Leech"), 2.0, 1e-10), (latcat.get("Leech"), 2.0, 2e-10)]
+    + [(e, math.pi / 2, 1e-8) for e in CRITICAL],
+    ids=lambda v: getattr(v, "name", None),
+)
+def test_series_summed_once_at_shortest_length(entry, alpha, tol, monkeypatch):
+    # every request reads its coefficients once, m = 0..16, whatever its tol
+    lengths = _count_series_reads(monkeypatch)
+    report = morse.hessian_spectrum(entry, alpha, tol)
+    assert lengths == [17]
+    assert (report.terms, report.side) == (16, "dual")
     assert all(line.error_radius <= tol for line in report.lines)
+
+
+@pytest.mark.parametrize("entry", CRITICAL, ids=lambda e: e.name)
+def test_sixteen_terms_leave_only_roundoff(entry):
+    # the premise of one series length: at every alpha' >= pi a request sums
+    # at, the certified tail part of the widest radius after 16 terms is far
+    # below its roundoff part, which more terms only grow
+    n = entry.dimension
+    widest = max(abs(lam * n * (n + 2) - 8 * entry.root_count)
+                 for lam, _ in morse._lambda_spectrum(entry))
+    for alpha in np.geomspace(math.pi, 100.0, 200):
+        sums = morse._kernel(entry, alpha, morse._TERMS)
+        fold = morse._direct_side(alpha)
+        _, roundoff = morse._eigenvalue(fold, n, sums, (0.0, 0.0), widest)
+        assert _widest_tail_part(entry, alpha, morse._TERMS) <= 1e-9 * roundoff
 
 
 @pytest.mark.parametrize("entry", CRITICAL, ids=lambda e: e.name)
@@ -219,17 +234,23 @@ def test_sixteen_terms_or_roundoff_bound(entry, alpha, tol):
         assert all(line.error_radius <= tol for line in report.lines)
 
 
-def test_unreachable_tol_raises_at_once():
+def test_unreachable_tol_raises_at_once(monkeypatch):
     e8 = latcat.get("E8")
     for tol in (math.nan, 0.0, -1.0):
         with pytest.raises(morse.ToleranceUnreachable, match="roundoff-bound"):
             morse.hessian_spectrum(e8, ALPHA, tol)
-    # below what the tail bounds reach at any length
-    with pytest.raises(morse.ToleranceUnreachable, match="underflow"):
-        morse.hessian_spectrum(e8, ALPHA, 1e-320)
-    # reachable tails, but the roundoff part is far above tol
-    with pytest.raises(morse.ToleranceUnreachable, match="roundoff-bound.* at 114 series terms"):
-        morse.hessian_spectrum(e8, ALPHA, 1e-300)
+    lengths = _count_series_reads(monkeypatch)
+    # the roundoff part is far above tol, and more terms only grow it
+    for tol in (1e-300, 1e-320):
+        with pytest.raises(morse.ToleranceUnreachable, match="roundoff-bound.* at 16 series terms"):
+            morse.hessian_spectrum(e8, ALPHA, tol)
+    # the roundoff part underflows, and the tail part, 2.29e-298, sits at the
+    # tail bounds' floor: above tol/2 it fails, even with the radius within tol
+    for tol in (1e-300, 3e-298):
+        with pytest.raises(morse.ToleranceUnreachable, match="underflow.* at 16 series terms"):
+            morse.hessian_spectrum(e8, 400.0, tol)
+    # each failure read its coefficients once, at the one length
+    assert lengths == [17] * 4
 
 
 @settings(max_examples=60, deadline=None)
@@ -272,6 +293,16 @@ def test_certificate_user_direction():
     cert = morse.noncritical_certificate(latcat.get("A1^8+A3^8"), 14.0, direction)
     assert cert.root_term == pytest.approx(768.0 * 14.0 * math.exp(-28.0), rel=1e-6)
     assert cert.remainder < cert.root_term
+
+
+@pytest.mark.parametrize("value, where", [(math.nan, (0, 1)), (math.inf, (0, 1)),
+                                          (-math.inf, (0, 1)), (math.inf, (0, 0))])
+def test_certificate_rejects_non_finite_direction(value, where):
+    # NaN fails every comparison, and an infinite trace has no Fraction
+    direction = np.diag([24.0] * 8 + [-8.0] * 24)
+    direction[where] = direction[where[::-1]] = value
+    with pytest.raises(ValueError, match="direction must be finite"):
+        morse.noncritical_certificate(latcat.get("A1^8+A3^8"), 14.0, direction)
 
 
 def test_certificate_reads_only_the_terms_it_sums(monkeypatch):
@@ -350,21 +381,31 @@ def test_roundoff_bound_stops_doubling():
         morse.hessian_spectrum(latcat.get("E8"), ALPHA, tol=-1.0)
 
 
+def _lines_summed_at(entry, fold, terms):
+    # spectral lines summed at fold.at through `terms`: the side a request does
+    # not take, summed far enough that its tail is negligible
+    n = entry.dimension
+    sums = morse._kernel(entry, fold.at, terms)
+    tails = morse._tails(entry, fold.at, terms)
+    return [morse.SpectralLine(lam, mult, *morse._eigenvalue(
+                fold, n, sums, tails, lam * n * (n + 2) - 8 * entry.root_count))
+            for lam, mult in morse._lambda_spectrum(entry)]
+
+
 def test_fold_overlaps_direct_kernel():
-    # both kernels on a grid around the fold point alpha = pi: intervals
-    # overlap and every certified sign agrees
-    for entry in latcat.list_catalog():
-        if not morse.criticality(entry).is_critical:
-            continue
+    # both kernels on a grid around the fold point alpha = pi: every request
+    # against 64 terms on the other side (unfolded below pi, folded above),
+    # intervals overlap and every certified sign agrees
+    for entry in CRITICAL:
         for alpha in np.linspace(math.pi / 2, 2 * math.pi, 7):
-            direct = morse._spectrum(entry, alpha, 1e-8, morse._direct_side(alpha))
-            folded = morse._spectrum(entry, alpha, 1e-8, morse._dual_side(entry, alpha))
-            assert folded.side == "dual"
-            assert (folded.classification, folded.morse_index) == (
-                direct.classification,
-                direct.morse_index,
-            )
-            for d, f in zip(direct.lines, folded.lines, strict=True):
+            report = morse.hessian_spectrum(entry, alpha, 1e-8)
+            other = (morse._direct_side(alpha) if alpha < math.pi
+                     else morse._dual_side(entry, alpha))
+            oracle = _lines_summed_at(entry, other, 64)
+            assert other.side != report.side
+            label, index, _ = morse.classify(oracle)
+            assert (label, index) == (report.classification, report.morse_index)
+            for d, f in zip(oracle, report.lines, strict=True):
                 assert d.q_eigenvalue == f.q_eigenvalue
                 assert abs(d.value - f.value) <= d.error_radius + f.error_radius
 
