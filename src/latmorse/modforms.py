@@ -1,13 +1,31 @@
 """Exact q-series arithmetic and certified coefficient bounds.
 
-Theta functions of even unimodular lattices live in finite dimensional spaces
-of modular forms, so every theta series used here is an exact rational
-combination of Eisenstein series and a normalized cusp form: at most two rows
-of one cached integer basis, combined in O(length).  Coefficients are exact
-ints (Fractions only where a combination is not integral); floats appear only
-in the certified-bound layer, where every constant is rounded upward.
+Every modular form read here lies in the ring generated by E4, E6 and
+Delta = (E4^3 - E6^2) / 1728 (Serre, *A Course in Arithmetic*, ch. VII), so
+one cached basis of integer monomials in E4, E6 and Delta serves them all:
+E4, E4^2, E4^3, E4^4, Delta, E4 Delta, E4^2 Delta and Delta E6.
 
-The bound layer provides three certified estimates:
+* Theta series.  An even unimodular lattice of dimension n = 8k has its theta
+  series in M_4k.  For k <= 2 that space is spanned by E4^k; for k = 3, 4 by
+  E4^k and the cusp form E4^(k-3) Delta = q + O(q^2).  E4^k = 1 + 240k q + ...,
+  so matching the coefficient of q, the root count a_1, gives
+
+      theta = E4^k + (a_1 - 240k) E4^(k-3) Delta,
+
+  and for k <= 2 forces a_1 = 240k.
+* Cusp forms.  dim S_w = dim M_(w-12), and M_0, M_4, M_6, M_8 are spanned by
+  1, E4, E6, E4^2; so S_12, S_16, S_18 and S_20 are spanned by Delta,
+  E4 Delta, Delta E6 and E4^2 Delta.  The forms of weight n/2 + 4 that pair
+  with the degree-4 harmonics of a dimension-n theta series are
+  E4^(k-2) Delta; Delta E6 is the weight-18 form that pairs with the
+  degree-2 harmonics in dimension 32.
+
+Coefficients are exact ints (Fractions only where a fractional root count
+leaves a combination non-integral); floats appear only in the certified-bound
+layer, where every constant is rounded upward.  That layer keeps splitting
+theta as E_(n/2) plus a cusp form, because the Jenkins-Rouse bound holds for
+cusp forms only, and the Eisenstein part has the closed coefficient
+(2k/|B_k|) sigma_(k-1)(m).  It provides three certified estimates:
 
 * ``zeta_upper``          an upper enclosure of zeta(s) for integer s >= 2,
 * ``jenkins_rouse_constant``  the explicit cusp-form coefficient bound
@@ -214,30 +232,30 @@ def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=32)
 def _basis(length: int) -> MappingProxyType:
-    """E4, E6, E4^2, E4^3, Delta, E4 Delta, E4^2 Delta, 3617 E16 to ``length`` terms.
+    """E4^i E6^j Delta^l to ``length`` terms, keyed (i, j, l): E4^1..E4^4,
+    Delta, E4 Delta, E4^2 Delta and Delta E6, all exact ints.
 
     Delta = (E4^3 - E6^2) / 1728 is an exact integer division.
     """
     e4 = (1,) + tuple(240 * s for s in _sigma_table(3, length)[1:])
     e6 = (1,) + tuple(-504 * s for s in _sigma_table(5, length)[1:])
-    e4_sq = _convolve(e4, e4)
-    e4_cube = _convolve(e4_sq, e4)
-    diff = [a - b for a, b in zip(e4_cube, _convolve(e6, e6))]
+    rows = {(1, 0, 0): e4}
+    for i in (2, 3, 4):
+        rows[i, 0, 0] = _convolve(rows[i - 1, 0, 0], e4)
+    diff = [a - b for a, b in zip(rows[3, 0, 0], _convolve(e6, e6))]
     assert all(c % 1728 == 0 for c in diff)
-    delta = tuple(c // 1728 for c in diff)
+    delta = rows[0, 0, 1] = tuple(c // 1728 for c in diff)
     assert delta[:2] == (0, 1)[:length]
-    e4_delta = _convolve(e4, delta)
-    return MappingProxyType({
-        "E4": e4, "E6": e6, "E4^2": e4_sq, "E4^3": e4_cube, "Delta": delta, "E4 Delta": e4_delta,
-        "E4^2 Delta": _convolve(e4, e4_delta),
-        "3617 E16": (3617,) + tuple(16320 * s for s in _sigma_table(15, length)[1:]),
-    })
+    rows[1, 0, 1] = _convolve(e4, delta)
+    rows[2, 0, 1] = _convolve(e4, rows[1, 0, 1])
+    rows[0, 1, 1] = _convolve(delta, e6)
+    return MappingProxyType(rows)
 
 
-def _combine(base, row, factor: Fraction, denominator: int = 1) -> tuple:
-    """Coefficients of (base + factor * row) / denominator: ints where exact."""
-    p, q = factor.numerator, factor.denominator * denominator
-    nums = [b * factor.denominator + p * r for b, r in zip(base, row)]
+def _combine(base, row, factor: Fraction) -> tuple:
+    """Coefficients of base + factor * row: ints where exact."""
+    p, q = factor.numerator, factor.denominator
+    nums = [b * q + p * r for b, r in zip(base, row)]
     return tuple(c // q if c % q == 0 else Fraction(c, q) for c in nums)
 
 
@@ -263,7 +281,7 @@ def _cached_on_length(maxsize: int):
 @_cached_on_length(maxsize=16)
 def discriminant(length: int = DEFAULT_LENGTH) -> QSeries:
     """The normalized weight-12 cusp form (E4^3 - E6^2) / 1728."""
-    return QSeries(12, _basis(length)["Delta"])
+    return QSeries(12, _basis(length)[0, 0, 1])
 
 
 def eisenstein_first_coeff(k: int) -> Fraction:
@@ -273,43 +291,35 @@ def eisenstein_first_coeff(k: int) -> Fraction:
 
 @_cached_on_length(maxsize=128)
 def cusp_normalized(n: int, length: int = DEFAULT_LENGTH) -> QSeries:
-    """Normalized cusp form of weight n/2 + 4 for dimension n in {16, 24, 32}.
+    """Normalized cusp form E4^(k-2) Delta of weight n/2 + 4 for n = 8k in {16, 24, 32}.
 
-    These are the forms pairing with degree-4 harmonics of theta series:
-    Delta, E4*Delta and E4^2*Delta for n = 16, 24, 32.  Dimension 8 has no
-    cusp form of weight 8, which callers treat as an identically zero series.
+    These are the forms pairing with degree-4 harmonics of theta series
+    (module docstring).  Dimension 8 has no cusp form of weight 8, which
+    callers treat as an identically zero series.
     """
-    rows = {16: "Delta", 24: "E4 Delta", 32: "E4^2 Delta"}
-    if n not in rows:
+    k = n // 8
+    if n % 8 or not 2 <= k <= 4:
         raise UnsupportedDimension(f"no weight-(n/2+4) cusp form stored for n={n}")
-    return QSeries(n // 2 + 4, _basis(length)[rows[n]])
+    return QSeries(4 * k + 4, _basis(length)[k - 2, 0, 1])
 
 
 @_cached_on_length(maxsize=256)
 def theta_even_unimodular(n: int, root_count, length: int = DEFAULT_LENGTH) -> QSeries:
-    """Theta series of an even unimodular lattice of dimension n.
+    """Theta series E4^k + (root_count - 240k) E4^(k-3) Delta of an even
+    unimodular lattice of dimension n = 8k in {8, 16, 24, 32}.
 
-    The q-expansion is pinned by (n, root_count):
-
-    * n = 8:   E4 (root_count must be 240),
-    * n = 16:  E4^2 (root_count must be 480),
-    * n = 24:  E4^3 + (root_count - 720) Delta,
-    * n = 32:  (3617 E16 + (3617 root_count - 16320) E4 Delta) / 3617.
+    For k <= 2 there is no cusp form, and root_count must be 240k (module
+    docstring).
     """
-    rc, rows = Fraction(root_count), _basis(length)
-    if n == 8:
-        if rc != 240:
-            raise InconsistentRootCount("dimension 8 forces 240 roots")
-        return QSeries(4, rows["E4"])
-    if n == 16:
-        if rc != 480:
-            raise InconsistentRootCount("dimension 16 forces 480 roots")
-        return QSeries(8, rows["E4^2"])
-    if n == 24:
-        return QSeries(12, _combine(rows["E4^3"], rows["Delta"], rc - 720))
-    if n == 32:
-        return QSeries(16, _combine(rows["3617 E16"], rows["E4 Delta"], 3617 * rc - 16320, 3617))
-    raise UnsupportedDimension(f"theta series known for n in 8..32 by 8, got {n}")
+    k = n // 8
+    if n % 8 or not 1 <= k <= 4:
+        raise UnsupportedDimension(f"theta series known for n in 8..32 by 8, got {n}")
+    rows, cusp = _basis(length), Fraction(root_count) - 240 * k
+    if k < 3:
+        if cusp:
+            raise InconsistentRootCount(f"dimension {n} forces {240 * k} roots")
+        return QSeries(4 * k, rows[k, 0, 0])
+    return QSeries(4 * k, _combine(rows[k, 0, 0], rows[k - 3, 0, 1], cusp))
 
 
 # ---------------------------------------------------------------------------

@@ -51,10 +51,10 @@ _U = 2.0**-53
 _TERMS = 16
 
 # largest x = 2 alpha' m of the leading dual shell that the fold accepts: the
-# certified tails bottom out at modforms' exp floor e^-700 (just above the
+# certified tails bottom out at modforms' exp floor (e^-700, just above the
 # float64 underflow at e^-708), and the leading weight e^-x must stay e^40
 # above it for the radius to resolve a sign
-_LEADING_X_MAX = 660.0
+_LEADING_X_MAX = -modforms._LOG_FLOOR - 40.0
 
 
 class NotCritical(ValueError):
@@ -299,9 +299,8 @@ class Certificate(Frozen):
 
 @lru_cache(maxsize=1)
 def _delta_e6() -> tuple[float, ...]:
-    """Delta E6 through q^_TERMS from the cached basis rows, exact as floats."""
-    rows, cut = modforms._basis(modforms.DEFAULT_LENGTH), _TERMS + 1
-    return tuple(map(float, modforms._convolve(rows["Delta"][:cut], rows["E6"][:cut])))
+    """Delta E6 through q^_TERMS from the cached basis row, exact as floats."""
+    return tuple(map(float, modforms._basis(modforms.DEFAULT_LENGTH)[0, 1, 1][: _TERMS + 1]))
 
 
 def noncritical_certificate(entry: LatticeEntry, alpha: float, direction=None) -> Certificate:

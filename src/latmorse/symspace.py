@@ -20,7 +20,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .rootsys import IrreducibleRootSystem, RootSystem, direct_sum
+from .rootsys import IrreducibleRootSystem, RootSystem, _gram_schmidt, direct_sum
 
 CLUSTER_TOL = 1e-6
 
@@ -77,16 +77,9 @@ def traceless_basis(n: int) -> np.ndarray:
             m = np.zeros((n, n))
             m[i, j] = m[j, i] = s
             mats.append(m)
-    diag = np.zeros((n - 1, n))
-    for i in range(n - 1):
-        diag[i, i], diag[i, i + 1] = 1.0, -1.0
-    for i in range(n - 1):
-        for _ in range(2):
-            for j in range(i):
-                diag[i] -= (diag[j] @ diag[i]) * diag[j]
-        diag[i] /= np.linalg.norm(diag[i])
-    for i in range(n - 1):
-        mats.append(np.diag(diag[i]))
+    # columns e_i - e_(i+1)
+    diag = _gram_schmidt(np.eye(n, n - 1) - np.eye(n, n - 1, k=-1))
+    mats.extend(np.diag(column) for column in diag.T)
     basis = np.stack(mats)
     basis.setflags(write=False)
     return basis
@@ -103,14 +96,9 @@ def _as_matrix(h, n: int) -> np.ndarray:
 
 def quartic_form(system: RootSystem | IrreducibleRootSystem, h) -> float:
     """Q[H] = sum over roots of (x^T H x)^2, H in frame coordinates."""
-    import numpy as np
-
-    rows = system.frame_roots
-    if rows.shape[0] == 0:
+    if system.frame_roots.shape[0] == 0:
         return 0.0
-    n = rows.shape[1]
-    h = _as_matrix(h, n)
-    vals = np.einsum("ri,ij,rj->r", rows, h, rows)
+    vals = quartic_values(system, h)
     return float(vals @ vals)
 
 
@@ -183,25 +171,20 @@ def closed_spectrum(system: RootSystem | IrreducibleRootSystem) -> QSpectrum:
     return out
 
 
-def quartic_gram(system: RootSystem | IrreducibleRootSystem) -> np.ndarray:
-    """Gram matrix of the polarized quartic form on ``traceless_basis``."""
+def _basis_values(points: np.ndarray) -> np.ndarray:
+    """x^T B x over points x (rows) and ``traceless_basis`` elements B (columns)."""
     import numpy as np
 
-    rows = system.frame_roots
-    n = rows.shape[1]
-    basis = traceless_basis(n)
-    d = basis.shape[0]
-    squares = rows**2
-    values = np.empty((rows.shape[0], d))
-    col = 0
-    s = math.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            values[:, col] = s * rows[:, i] * rows[:, j]
-            col += 1
-    for k in range(n * (n - 1) // 2, d):
-        values[:, col] = squares @ np.diag(basis[k])
-        col += 1
+    n = points.shape[1]
+    # the off-diagonal elements (E_ij + E_ji)/sqrt(2) come first, in this order
+    i, j = np.triu_indices(n, 1)
+    diagonals = np.diagonal(traceless_basis(n)[len(i):], axis1=1, axis2=2)
+    return np.hstack([math.sqrt(2.0) * points[:, i] * points[:, j], points**2 @ diagonals.T])
+
+
+def quartic_gram(system: RootSystem | IrreducibleRootSystem) -> np.ndarray:
+    """Gram matrix of the polarized quartic form on ``traceless_basis``."""
+    values = _basis_values(system.frame_roots)
     return values.T @ values
 
 
@@ -372,12 +355,10 @@ def design_check(points, t: int) -> DesignCheck:
         # no traceless directions on a line: the quartic identity is vacuous
         # and a centrally symmetric pair on S^0 is a design of every strength
         return DesignCheck(4, r2, resid2, resid2 <= 1e-10)
-    basis = traceless_basis(n)
-    d = basis.shape[0]
-    values = np.einsum("ri,aij,rj->ra", pts, basis, pts)
+    values = _basis_values(pts)
     gram = values.T @ values
     scale = 2.0 * r2 * r2 * k / (n * (n + 2))
-    resid4 = float(np.max(np.abs(gram - scale * np.eye(d)))) / scale
+    resid4 = float(np.max(np.abs(gram - scale * np.eye(len(gram))))) / scale
     passed = resid2 <= 1e-10 and resid4 <= 1e-8
     return DesignCheck(4, r2, max(resid4, resid2), passed)
 

@@ -392,6 +392,8 @@ def _fresh_python(*args):
     ["catalog"],
     ["sweep", "E8", "--start", "4", "--stop", "5", "--steps", "2"],
     ["analyze", "A1^8+A3^8", "--alpha", "3"],
+    ["catalog", "--format", "json"],
+    ["analyze", "Leech", "--alpha", "0.5"],
 ])
 def test_report_commands_run_without_numpy(argv):
     run = _fresh_python("-c", _REPORT_NO_NUMPY, *argv)

@@ -82,6 +82,8 @@ def test_theta_coefficients_nonnegative_integers():
         assert all(c >= 0 for c in entry.theta.coeffs)
         assert entry.theta.coeffs[0] == 1
         assert entry.theta.coefficient(1) == entry.root_count
+        long_row = modforms.theta_even_unimodular(entry.dimension, entry.root_count, 129).coeffs
+        assert all(type(c) is int and c >= 0 for c in long_row), entry.name
 
 
 def test_theta_known_rows():

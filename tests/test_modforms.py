@@ -8,6 +8,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latmorse import modforms as mf
 
@@ -170,18 +172,18 @@ def test_theta_dimension_32_integrality():
 
 
 def _fraction_basis(length):
-    """The basis built from Fraction QSeries products, as before the integer rows."""
+    """E4^i E6^j Delta^l keyed (i, j, l), from Fraction QSeries products alone."""
     e4, e6 = mf.eisenstein(4, length), mf.eisenstein(6, length)
     delta = (e4 * e4 * e4 - e6 * e6).scale(Fraction(1, 1728))
     return {
-        "E4": e4,
-        "E6": e6,
-        "3617 E16": mf.eisenstein(16, length).scale(3617),
-        "E4^2": e4 * e4,
-        "E4^3": e4 * e4 * e4,
-        "Delta": delta,
-        "E4 Delta": delta * e4,
-        "E4^2 Delta": delta * e4 * e4,
+        (1, 0, 0): e4,
+        (2, 0, 0): e4 * e4,
+        (3, 0, 0): e4 * e4 * e4,
+        (4, 0, 0): e4 * e4 * e4 * e4,
+        (0, 0, 1): delta,
+        (1, 0, 1): delta * e4,
+        (2, 0, 1): delta * e4 * e4,
+        (0, 1, 1): delta * e6,
     }
 
 
@@ -189,26 +191,34 @@ def _fraction_basis(length):
 def test_integer_basis_matches_fraction_products(length):
     reference, basis = _fraction_basis(length), mf._basis(length)
     assert set(basis) == set(reference)
-    for name, form in reference.items():
-        row = basis[name]
-        assert all(type(c) is int for c in row), name
-        assert row == form.coeffs, name
+    for key, form in reference.items():
+        row = basis[key]
+        assert all(type(c) is int for c in row), key
+        assert row == form.coeffs, key
 
 
-def test_theta_combination_matches_fraction_products():
-    # E16 + (rc - 16320/3617) E4 Delta is integral for any integer rc (Ramanujan's
-    # congruence mod 3617); a fractional rc leaves Fractions, which must survive
-    reference = _fraction_basis(17)
-    e4_cube, delta, e4_delta = reference["E4^3"], reference["Delta"], reference["E4 Delta"]
-    for rc in (2, Fraction(1, 2)):
-        old = mf.eisenstein(16, 17) + e4_delta.scale(rc - mf.eisenstein_first_coeff(16))
-        theta = mf.theta_even_unimodular(32, rc, 17)
-        assert theta.coeffs == old.coeffs
-        assert theta.is_integral() == (rc == 2)
-        assert theta.to_json_dict() == old.to_json_dict()
-        assert theta.floats() == old.floats()
-        old = e4_cube + delta.scale(rc - 720)
-        assert mf.theta_even_unimodular(24, rc, 17).coeffs == old.coeffs
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([24, 32]),
+    rc=st.one_of(st.integers(-2000, 2000),
+                 st.fractions(min_value=-2000, max_value=2000, max_denominator=7300)),
+)
+def test_theta_combination_matches_fraction_products(n, rc):
+    # independent routes: E4^3 + (rc - 720) Delta, and E16 + (rc - 16320/3617) E4 Delta,
+    # integral for any integer rc (Ramanujan's congruence mod 3617); a fractional rc
+    # leaves Fractions, which must survive, and every integral coefficient is an int
+    rc, reference = Fraction(rc), _fraction_basis(17)
+    if n == 24:
+        expected = reference[3, 0, 0] + reference[0, 0, 1].scale(rc - 720)
+    else:
+        expected = mf.eisenstein(16, 17) + reference[1, 0, 1].scale(rc - mf.eisenstein_first_coeff(16))
+    theta = mf.theta_even_unimodular(n, rc, 17)
+    assert theta.weight == expected.weight
+    assert theta.coeffs == expected.coeffs
+    assert theta.is_integral() == (rc.denominator == 1)
+    assert all((type(c) is int) == (c.denominator == 1) for c in theta.coeffs)
+    assert theta.to_json_dict() == expected.to_json_dict()
+    assert theta.floats() == expected.floats()
 
 
 def test_theta_first_coefficient_is_root_count():
