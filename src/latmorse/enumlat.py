@@ -46,9 +46,10 @@ def _checked_gram(gram) -> np.ndarray:
     g = np.asarray(gram)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError("Gram matrix must be square")
-    gi = np.rint(g).astype(np.int64)
-    if np.max(np.abs(g - gi)) > 0:
+    # written so that NaN and infinities fail it
+    if not (np.all(np.isfinite(g)) and np.array_equal(g, np.rint(g))):
         raise ValueError("Gram matrix must be integral")
+    gi = g.astype(np.int64)
     if not np.array_equal(gi, gi.T):
         raise ValueError("Gram matrix must be symmetric")
     return gi
@@ -163,32 +164,18 @@ def _check_shell_budget(m_max: int) -> None:
         raise BudgetExceeded(f"shells limited to m <= {MAX_SHELL}")
 
 
-# per Gram matrix bytes, the longest shell list built; the oldest entry goes first
-_SHELL_CACHE_SIZE = 8
-_shell_cache: dict[bytes, tuple[int, list[ShellList]]] = {}
-
-
 def shells_up_to(gram, m_max: int) -> list[ShellList]:
-    """ShellLists for norms 2, 4, ..., 2*m_max (cached for the last few Gram matrices)."""
+    """ShellLists for norms 2, 4, ..., 2*m_max, enumerated afresh on every call."""
     import numpy as np
 
     _check_shell_budget(m_max)
-    g = _checked_gram(gram)
-    key = g.tobytes()
-    cached = _shell_cache.get(key)
-    if cached is not None and cached[0] >= m_max:
-        return cached[1][:m_max]
-    vectors, norms = short_vectors(g, 2 * m_max)
+    vectors, norms = short_vectors(gram, 2 * m_max)
     assert int(np.sum(norms % 2 == 1)) == 0, "even lattice produced an odd norm"
     shells = []
     for m in range(1, m_max + 1):
         sel = vectors[norms == 2 * m]
         sel.setflags(write=False)
         shells.append(ShellList(norm=2 * m, vectors=sel))
-    _shell_cache.pop(key, None)
-    _shell_cache[key] = (m_max, shells)
-    if len(_shell_cache) > _SHELL_CACHE_SIZE:
-        del _shell_cache[next(iter(_shell_cache))]
     return shells
 
 
@@ -252,17 +239,20 @@ def hessian_direct(gram, alpha: float, h, m_max: int, basis=None) -> float:
 
     g = _checked_gram(gram)
     _check_shell_budget(m_max)
+    modforms._check_alpha(alpha)
     n = g.shape[0]
     h = np.asarray(h, dtype=float)
     if h.shape != (n, n):
         raise ValueError("Hessian direction has the wrong shape")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("Hessian direction must be finite")
     if abs(float(np.trace(h))) > 1e-12 * max(1.0, float(np.abs(h).max())):
         raise ValueError("Hessian direction must be traceless")
     if basis is None:
         basis = _cholesky_upper(g).T  # x = R v written as rows: v @ R^T
     else:
         basis = np.asarray(basis, dtype=float)
-        if np.max(np.abs(basis @ basis.T - g)) > 1e-9:
+        if not np.max(np.abs(basis @ basis.T - g)) <= 1e-9:  # NaN fails
             raise ValueError("basis does not realize the Gram matrix")
 
     acc = np.zeros(m_max + 1)

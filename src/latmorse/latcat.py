@@ -58,7 +58,7 @@ class LatticeEntry(Frozen):
         copy.  The cusp row is identically zero in dimension 8, where the
         relevant cusp space is trivial.
         """
-        return _series_pair(self.dimension, self.root_count, length)
+        return _series_pair(self, length)
 
     def coeff_bound(self) -> modforms.CoeffBound:
         return modforms.theta_coeff_bound(self.dimension, self.root_count)
@@ -67,15 +67,19 @@ class LatticeEntry(Frozen):
         return f"LatticeEntry({self.name}, dim {self.dimension}, {self.root_count} roots)"
 
 
-# bounded, yet far above the ~28 (dimension, root count) keys times a few lengths in use
+# bounded, yet far above the 29 catalog entries times the few lengths in use
 @lru_cache(maxsize=512)
-def _series_pair(n: int, root_count: int, length: int) -> tuple[memoryview, memoryview]:
-    """Rows up to DEFAULT_LENGTH are views of the one pair converted from the
-    catalog's exact series; only longer rows build longer exact series."""
-    if length < modforms.DEFAULT_LENGTH:
-        return tuple(row[:length] for row in _series_pair(n, root_count, modforms.DEFAULT_LENGTH))
-    a = modforms.theta_even_unimodular(n, root_count, length).floats()
-    b = modforms.cusp_normalized(n, length).floats() if n != 8 else [0.0] * length
+def _series_pair(entry: LatticeEntry, length: int) -> tuple[memoryview, memoryview]:
+    """Rows up to the length of the entry's own exact series are views of the
+    one pair converted from them; only longer rows build longer exact series."""
+    own = entry.theta.length
+    if length < own:
+        return tuple(row[:length] for row in _series_pair(entry, own))
+    theta, cusp = entry.theta, entry.cusp
+    if length > own:
+        theta = modforms.theta_even_unimodular(entry.dimension, entry.root_count, length)
+        cusp = None if cusp is None else modforms.cusp_normalized(entry.dimension, length)
+    a, b = theta.floats(), [0.0] * length if cusp is None else cusp.floats()
     return memoryview(array("d", a)).toreadonly(), memoryview(array("d", b)).toreadonly()
 
 

@@ -43,7 +43,7 @@ import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache
 from types import MappingProxyType
 
 from .records import Frozen
@@ -102,27 +102,8 @@ def bernoulli(k: int) -> Fraction:
     return Fraction((-1) ** (n - 1) * k * t[n], 4**n * (4**n - 1))
 
 
-def sigma(k: int, m: int) -> int:
-    """Divisor power sum sigma_k(m) for m >= 1."""
-    assert m >= 1
-    total = 0
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            total += d**k
-            e = m // d
-            if e != d:
-                total += e**k
-        d += 1
-    return total
-
-
-def divisor_count(m: int) -> int:
-    return sigma(0, m)
-
-
 def _sigma_table(k: int, length: int) -> list[int]:
-    # sieve: cheaper than per-m factorization for long series
+    """Divisor power sums sigma_k(m) for 0 <= m < length (0 at m = 0), by a sieve."""
     table = [0] * length
     for d in range(1, length):
         dk = d**k
@@ -259,26 +240,6 @@ def _combine(base, row, factor: Fraction) -> tuple:
     return tuple(c // q if c % q == 0 else Fraction(c, q) for c in nums)
 
 
-def _cached_on_length(maxsize: int):
-    """``lru_cache`` keyed with ``length``, the last parameter, filled in: a bare
-    one keys f(24, 0), f(24, 0, 64) and f(24, 0, length=64) apart."""
-    def decorate(fn):
-        cached = lru_cache(maxsize)(fn)
-        before = fn.__code__.co_argcount - 1  # parameters before ``length``
-
-        @wraps(fn)
-        def call(*args, **kwargs):
-            if len(args) == before:
-                args += (kwargs.pop("length", DEFAULT_LENGTH),)
-            return cached(*args, **kwargs)
-
-        call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
-        return call
-
-    return decorate
-
-
-@_cached_on_length(maxsize=16)
 def discriminant(length: int = DEFAULT_LENGTH) -> QSeries:
     """The normalized weight-12 cusp form (E4^3 - E6^2) / 1728."""
     return QSeries(12, _basis(length)[0, 0, 1])
@@ -289,7 +250,6 @@ def eisenstein_first_coeff(k: int) -> Fraction:
     return Fraction(-2 * k) / bernoulli(k)
 
 
-@_cached_on_length(maxsize=128)
 def cusp_normalized(n: int, length: int = DEFAULT_LENGTH) -> QSeries:
     """Normalized cusp form E4^(k-2) Delta of weight n/2 + 4 for n = 8k in {16, 24, 32}.
 
@@ -303,7 +263,6 @@ def cusp_normalized(n: int, length: int = DEFAULT_LENGTH) -> QSeries:
     return QSeries(4 * k + 4, _basis(length)[k - 2, 0, 1])
 
 
-@_cached_on_length(maxsize=256)
 def theta_even_unimodular(n: int, root_count, length: int = DEFAULT_LENGTH) -> QSeries:
     """Theta series E4^k + (root_count - 240k) E4^(k-3) Delta of an even
     unimodular lattice of dimension n = 8k in {8, 16, 24, 32}.
@@ -327,7 +286,6 @@ def theta_even_unimodular(n: int, root_count, length: int = DEFAULT_LENGTH) -> Q
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
 def zeta_upper(s: int) -> float:
     """Certified upper bound on zeta(s) for integer s >= 2.
 
@@ -369,7 +327,6 @@ class CoeffBound(namedtuple("CoeffBound", "terms")):
         )
 
 
-@lru_cache(maxsize=64)
 def eisenstein_coeff_bound(n: int) -> CoeffBound:
     """Bound on the Eisenstein part of a dimension-n theta series.
 

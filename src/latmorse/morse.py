@@ -215,12 +215,9 @@ class CriticalityResult(Frozen):
 
     @cached_property
     def witness_pairing(self) -> float:
-        """<W, S_1> = sum size d^2 for the witness W (0.0 when critical): an
-        integer sum of size (n d)^2 = size (n moment - 2 a_1)^2 over n^2, so
-        its one division rounds the exact value correctly."""
-        n = sum(size for size, _ in self.blocks)
-        return sum(size * (d.numerator * (n // d.denominator)) ** 2
-                   for (size, _), d in zip(self.blocks, self.defects)) / (n * n)
+        """<W, S_1> = sum size d^2 for the witness W (0.0 when critical): the
+        exact Fraction sum, rounded once."""
+        return float(sum(size * d * d for (size, _), d in zip(self.blocks, self.defects)))
 
 
 @lru_cache(maxsize=64)

@@ -139,8 +139,9 @@ class IrreducibleRootSystem(Frozen):
         """Orthonormal basis of the span, ambient_dim x rank, deterministic.
 
         A_n uses Gram-Schmidt on the chain e_i - e_(i+1); D and E8 are already
-        full dimensional; E6/E7 orthonormalize the first independent roots in
-        sorted order.
+        full dimensional.  E7 (E6) spans the hyperplane x7 = x8 (the subspace
+        x6 = x7 = x8) of E8's R^8: e_1, ..., e_(rank-1) plus the unit vector
+        along the tied coordinates.
         """
         import numpy as np
 
@@ -150,22 +151,10 @@ class IrreducibleRootSystem(Frozen):
             for i in range(n):
                 seeds[i, i], seeds[i + 1, i] = 1.0, -1.0
             return _gram_schmidt(seeds)
-        if self.ambient_dim == self.rank:
-            return np.eye(self.rank)
-        seeds = []
-        rank_now = 0
-        candidates = self.doubled_roots.astype(float) / 2.0
-        basis = np.zeros((self.ambient_dim, self.rank))
-        for row in candidates:
-            trial = basis.copy()
-            trial[:, rank_now] = row
-            if np.linalg.matrix_rank(trial[:, : rank_now + 1], tol=1e-8) == rank_now + 1:
-                basis[:, rank_now] = row
-                rank_now += 1
-                if rank_now == self.rank:
-                    break
-        assert rank_now == self.rank
-        return _gram_schmidt(basis)
+        frame = np.eye(self.ambient_dim, self.rank)
+        tied = self.ambient_dim - self.rank + 1
+        frame[-tied:, -1] = 1.0 / math.sqrt(tied)
+        return frame
 
     @cached_property
     def frame_roots(self) -> np.ndarray:

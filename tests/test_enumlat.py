@@ -45,23 +45,11 @@ def test_shells_cached_and_indexed():
     g = latcat.get("E8").gram
     first = enumlat.shells_up_to(g, 3)
     second = enumlat.shells_up_to(g, 2)
-    assert second[0] is first[0]
+    assert np.array_equal(second[0].vectors, first[0].vectors)
     shell = enumlat.enumerate_shell(g, 2)
     assert shell.norm == 4
     assert shell.count == 2160
     assert not shell.vectors.flags.writeable
-
-
-def test_shell_cache_is_bounded():
-    cap = enumlat._SHELL_CACHE_SIZE
-    grams = [np.array([[2 * k, 1], [1, 2]], dtype=np.int64) for k in range(1, cap + 4)]
-    for g in grams:
-        enumlat.shells_up_to(g, 2)
-        assert len(enumlat._shell_cache) <= cap
-    assert len(enumlat._shell_cache) == cap
-    assert grams[0].tobytes() not in enumlat._shell_cache  # the oldest went first
-    newest = enumlat.shells_up_to(grams[-1], 2)
-    assert enumlat.shells_up_to(grams[-1], 1)[0] is newest[0]
 
 
 def test_scaled_square_lattice_by_hand():
@@ -155,6 +143,35 @@ def test_hessian_direct_guards():
         enumlat.hessian_direct(SCALED_Z2, 1.0, np.diag([1.0, 0.0, -1.0]), 2)
     with pytest.raises(ValueError):
         enumlat.hessian_direct(SCALED_Z2, 1.0, np.diag([1.0, -1.0]), 2, basis=np.eye(2))
+
+
+def _nan_at(array, *index):
+    out = np.array(array, dtype=float)
+    out[index] = math.nan
+    return out
+
+
+# a check written as `value > bound` lets NaN through; each NaN input must raise
+@pytest.mark.parametrize("case, match", [
+    ("h_off_diagonal", "finite"),
+    ("basis", "realize"),
+    ("alpha", "alpha"),
+    ("gram", "integral"),
+])
+def test_hessian_direct_rejects_nan(case, match):
+    entry = latcat.get("E8")
+    args = {"gram": entry.gram, "alpha": 1.0, "h": np.diag([1.0] * 4 + [-1.0] * 4),
+            "m_max": 2, "basis": entry.basis}
+    if case == "h_off_diagonal":
+        args["h"] = _nan_at(_nan_at(args["h"], 0, 1), 1, 0)
+    elif case == "basis":
+        args["basis"] = _nan_at(entry.basis, 3, 2)
+    elif case == "alpha":
+        args["alpha"] = math.nan
+    else:  # without a basis this raised NotPositiveDefinite
+        args.update(gram=_nan_at(_nan_at(entry.gram, 0, 1), 1, 0), basis=None)
+    with pytest.raises(ValueError, match=match):
+        enumlat.hessian_direct(**args)
 
 
 def test_hessian_direct_matches_eigenvalue_series():

@@ -141,8 +141,7 @@ def test_catalog_build_uses_no_qseries_products(monkeypatch):
     def refuse(self, other):
         raise AssertionError("QSeries.__mul__ called while building the catalog")
 
-    for cached in (latcat._catalog, modforms._basis, modforms.discriminant,
-                   modforms.cusp_normalized, modforms.theta_even_unimodular):
+    for cached in (latcat._catalog, modforms._basis):
         cached.cache_clear()
     monkeypatch.setattr(modforms.QSeries, "__mul__", refuse)
     assert len(latcat.list_catalog()) == 29
@@ -186,20 +185,25 @@ def test_short_rows_are_views_of_the_catalog_rows():
 
 
 # first requests of a fresh process, one per dimension and one certificate;
-# prints the cache misses of the exact series before and after, and whether
-# a short row shares the catalog-length row's buffer
+# prints the _basis misses before and after, the exact series constructors
+# called after the catalog build, and whether a short row shares the
+# entry-length row's buffer
 _FIRST_REQUESTS = """
 from latmorse import latcat, modforms, morse
-def misses():
-    return (modforms._basis.cache_info().misses,
-            modforms.theta_even_unimodular.cache_info().misses)
 latcat.list_catalog()
-before = misses()
+built = []
+for name in ("theta_even_unimodular", "cusp_normalized", "discriminant"):
+    def counted(*args, _fn=getattr(modforms, name), _name=name, **kwargs):
+        built.append(_name)
+        return _fn(*args, **kwargs)
+    setattr(modforms, name, counted)
+before = modforms._basis.cache_info().misses
 for name in ("E8", "D16+", "Leech", "Rootless32"):
     morse.hessian_spectrum(latcat.get(name), 1.2)
 morse.noncritical_certificate(latcat.get("A1^8+A3^8"), 1.2)
 entry = latcat.get("Leech")
-print((before, misses(), entry.series_floats(17)[0].obj is entry.series_floats(64)[0].obj))
+shared = entry.series_floats(17)[0].obj is entry.series_floats(64)[0].obj
+print((before, modforms._basis.cache_info().misses, built, shared))
 """
 
 
@@ -209,8 +213,9 @@ def test_first_requests_build_no_exact_series():
     run = subprocess.run([sys.executable, "-c", _FIRST_REQUESTS], capture_output=True,
                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
     assert run.returncode == 0, run.stderr
-    before, after, shared = ast.literal_eval(run.stdout)
+    before, after, built, shared = ast.literal_eval(run.stdout)
     assert after == before
+    assert built == []
     assert shared
 
 

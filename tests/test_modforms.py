@@ -52,13 +52,13 @@ def test_bernoulli_against_mpmath():
         mf.bernoulli(-1)
 
 
-def test_sigma_and_divisor_count():
-    assert mf.sigma(1, 6) == 12
-    assert mf.sigma(3, 4) == 73
-    assert mf.sigma(11, 2) == 2049
-    assert mf.sigma(5, 1) == 1
-    assert mf.divisor_count(12) == 6
-    assert mf.divisor_count(1) == 1
+def test_sigma_table():
+    assert mf._sigma_table(1, 7)[6] == 12
+    assert mf._sigma_table(3, 5)[4] == 73
+    assert mf._sigma_table(11, 3)[2] == 2049
+    assert mf._sigma_table(5, 2)[1] == 1
+    assert mf._sigma_table(0, 13)[12] == 6
+    assert mf._sigma_table(0, 13)[:2] == [0, 1]
 
 
 def test_eisenstein_rows():
@@ -375,11 +375,11 @@ def test_coeff_bound_series_tail_consistency():
     assert shifted == pytest.approx(direct2, rel=1e-15)
 
 
-def test_series_caches_key_on_the_length_filled_in():
+def test_series_spellings_of_the_default_length_agree():
     n = mf.DEFAULT_LENGTH
-    assert mf.theta_even_unimodular(24, 0) is mf.theta_even_unimodular(24, 0, n)
-    assert mf.theta_even_unimodular(24, 0) is mf.theta_even_unimodular(24, 0, length=n)
-    assert mf.cusp_normalized(32) is mf.cusp_normalized(32, n) is mf.cusp_normalized(32, length=n)
-    assert mf.discriminant() is mf.discriminant(n) is mf.discriminant(length=n)
-    assert mf.discriminant(12) is mf.discriminant(length=12)
+    assert mf.theta_even_unimodular(24, 0) == mf.theta_even_unimodular(24, 0, n)
+    assert mf.theta_even_unimodular(24, 0) == mf.theta_even_unimodular(24, 0, length=n)
+    assert mf.cusp_normalized(32) == mf.cusp_normalized(32, n) == mf.cusp_normalized(32, length=n)
+    assert mf.discriminant() == mf.discriminant(n) == mf.discriminant(length=n)
+    assert mf.discriminant(12) == mf.discriminant(length=12)
     assert mf.theta_even_unimodular(n=8, root_count=240) == mf.theta_even_unimodular(8, 240)

@@ -111,6 +111,9 @@ def test_frame_orthonormal():
         assert np.max(np.abs(gram - np.eye(rank))) < 1e-12
         norms = np.einsum("ij,ij->i", system.frame_roots, system.frame_roots)
         assert np.max(np.abs(norms - 2.0)) < 1e-12
+        # the frame spans every root: projecting onto it fixes each one
+        roots = system.doubled_roots / 2.0
+        assert np.max(np.abs(roots @ frame @ frame.T - roots)) < 1e-12
 
 
 def test_invalid_rank():
