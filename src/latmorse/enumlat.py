@@ -8,19 +8,16 @@ every reported vector is verified with exact integer arithmetic on v^T G v,
 so floating point only ever prunes with a small slack, never decides.
 
 The walk is depth first over bounded chunks and the consumers below are
-streaming (counts, energy, Hessian pairings), so deep shells of a
-16-dimensional lattice pass through without ever being held whole; only
-``shells_up_to`` materializes vectors, and callers wanting millions of them
-should reach for the streaming entry points instead.
+streaming (counts, Hessian pairings), so deep shells of a 16-dimensional
+lattice pass through without ever being held whole; only ``shells_up_to``
+materializes vectors, and callers wanting millions of them should reach for
+the streaming entry points instead.
 
 The enumeration budget is deliberate: dimension <= 16 and norm shells 2m with
 m <= 6, enough to cross-check E8 and D16+ against their theta series.
 """
 
 from __future__ import annotations
-
-import math
-from collections import namedtuple
 
 from . import modforms
 from .records import Frozen
@@ -198,33 +195,6 @@ def shell_counts(gram, m_max: int) -> tuple[int, ...]:
 
     _enumerate(g, 2 * m_max, visit)
     return tuple(int(counts[2 * m]) for m in range(1, m_max + 1))
-
-
-EnergyEstimate = namedtuple("EnergyEstimate", "value tail")
-
-
-def energy_direct(gram, alpha: float, m_max: int) -> EnergyEstimate:
-    """Gaussian energy sum_{x != 0} e^(-alpha |x|^2) by enumeration plus tail.
-
-    ``value`` covers shells up to 2*m_max; ``tail`` is a certified bound on
-    everything beyond, from the dimension's theta coefficient bound.  Requires
-    alpha >= pi/2 and m_max >= 4 so the tail machinery is in its valid range.
-    """
-    import numpy as np
-
-    if alpha < math.pi / 2:
-        raise ValueError("energy_direct requires alpha >= pi/2")
-    if m_max < 4:
-        raise ValueError("m_max >= 4 required for the certified tail")
-    counts = shell_counts(gram, m_max)
-    n = np.asarray(gram).shape[0]
-    value = sum(
-        c * math.exp(-2.0 * alpha * m)
-        for m, c in sorted(enumerate(counts, start=1), reverse=True)
-    )
-    bound = modforms.theta_coeff_bound(n, counts[0])
-    tail = bound.series_tail(m_max + 1, alpha)
-    return EnergyEstimate(value=value, tail=tail)
 
 
 def hessian_direct(gram, alpha: float, h, m_max: int, basis=None) -> float:

@@ -486,6 +486,8 @@ def _kernel(entry: LatticeEntry, at: float, terms: int):
     for m, am, bm in zip(range(1, terms + 1), a, b):
         x = 2.0 * at * m
         w = math.exp(-x)
+        if w == 0.0:
+            break  # w falls with m, so every later summand is 0.0 too; and inf * 0.0 is NaN
         v = (x + 2.0) * w
         rows.append((am * x * (x - c) * w, bm * h * w, abs(am) * x * (x + c) * v, abs(bm) * h * v))
     sa, sb, ea, eb = zip(*rows)
@@ -580,6 +582,9 @@ def hessian_spectrum(entry: LatticeEntry, alpha: float, tol: float = 1e-10) -> S
 def spectrum_partial(entry: LatticeEntry, alpha: float, lam: int, m_terms: int) -> float:
     """Partial eigenvalue sum through m_terms, no tail: for truncation-matched
     cross-checks against direct shell enumeration."""
+    modforms._check_alpha(alpha)
+    if m_terms < 0:
+        raise ValueError(f"m_terms must be >= 0, got {m_terms!r}")
     n = entry.dimension
     sa, _, sb, *_ = _kernel(entry, alpha, m_terms)
     return (sa + (lam * n * (n + 2) - 8 * entry.root_count) * sb) / float(n * (n + 2))
@@ -637,16 +642,17 @@ def isotropic_hessian_series(
 
 DeformationCheck = namedtuple("DeformationCheck", "measured_ratio expected_ratio agree")
 
+_STEP = 1e-3
 
-def deformation_check(
-    gram, alpha: float, direction, m_max: int = 4, step: float = 1e-3
-) -> DeformationCheck:
+
+def deformation_check(gram, alpha: float, direction, m_max: int = 4) -> DeformationCheck:
     """Finite-difference check of the Hessian convention on an actual path.
 
     Deform along t -> e^(tH/2), so the squared norms become x^T e^(tH) x, and
-    compare the Richardson second derivative of the (truncated) energy with
-    the analytic pairing from ``hessian_direct``.  Both truncate at the same
-    shells, so the ratio must be the convention factor 2 up to O(step^2).
+    compare the Richardson second derivative, step _STEP, of the (truncated)
+    energy with the analytic pairing from ``hessian_direct``.  Both truncate
+    at the same shells, so the ratio must be the convention factor 2 up to
+    O(_STEP^2).
     """
     import numpy as np
 
@@ -667,10 +673,10 @@ def deformation_check(
         return float(np.sum(np.exp(-alpha * q)))
 
     d2 = (
-        16.0 * (energy(step) + energy(-step))
-        - (energy(2 * step) + energy(-2 * step))
+        16.0 * (energy(_STEP) + energy(-_STEP))
+        - (energy(2 * _STEP) + energy(-2 * _STEP))
         - 30.0 * energy(0.0)
-    ) / (12.0 * step * step)
+    ) / (12.0 * _STEP * _STEP)
     analytic = enumlat.hessian_direct(g, alpha, h, m_max)
     ratio = d2 / analytic
     return DeformationCheck(

@@ -301,12 +301,6 @@ def parse_root_system(text: str) -> RootSystem:
 # ---------------------------------------------------------------------------
 
 
-def second_moment(system: RootSystem | IrreducibleRootSystem) -> np.ndarray:
-    """Sum of x x^T over all roots, in frame coordinates."""
-    rows = system.frame_roots
-    return rows.T @ rows
-
-
 def second_moment_blocks(system: RootSystem) -> tuple[int, ...]:
     """Exact per-block scalar of the second moment: 2h_i on the i-th block.
 

@@ -6,9 +6,9 @@ For a root system R in R^n the form
 
 is the second-order data of Gaussian lattice energy at a critical point.  This
 module evaluates Q, diagonalizes it on the traceless space T0 (closed form for
-ADE sums with equal Coxeter number, dense numerics otherwise), builds the
-invariant subspaces that realize each eigenvalue, and provides the spherical
-design checks and degree-4 harmonic decomposition behind those formulas.
+ADE sums with equal Coxeter number, dense numerics otherwise), and provides
+the spherical design checks and degree-4 harmonic decomposition behind those
+formulas.
 
 Conventions: matrices act in the root system's orthonormal frame coordinates;
 <A, B> = Tr(AB); H[x] = x^T H x.
@@ -24,18 +24,8 @@ from .rootsys import IrreducibleRootSystem, RootSystem, _gram_schmidt, direct_su
 
 CLUSTER_TOL = 1e-6
 
-U1 = "U1"
-U2 = "U2"
-D4_PLUS = "D4_PLUS"
-D4_MINUS = "D4_MINUS"
-
-
 class UnequalCoxeter(ValueError):
     """Closed spectrum requested for a sum with mixed Coxeter numbers."""
-
-
-class SubspaceUndefined(ValueError):
-    pass
 
 
 class EmptyInput(ValueError):
@@ -188,13 +178,11 @@ def quartic_gram(system: RootSystem | IrreducibleRootSystem) -> np.ndarray:
     return values.T @ values
 
 
-def numeric_spectrum(
-    system: RootSystem | IrreducibleRootSystem, tol: float = CLUSTER_TOL
-) -> QSpectrum:
+def numeric_spectrum(system: RootSystem | IrreducibleRootSystem) -> QSpectrum:
     """Dense eigendecomposition of Q on T0^n with eigenvalue clustering.
 
-    Eigenvalues within ``tol`` of each other fall into one cluster reported at
-    the cluster mean; values within tol of zero are snapped to zero.
+    Eigenvalues within ``CLUSTER_TOL`` of each other fall into one cluster
+    reported at the cluster mean; values within it of zero are snapped to zero.
     """
     import numpy as np
 
@@ -208,114 +196,14 @@ def numeric_spectrum(
     entries: list[tuple[float, int]] = []
     start = 0
     for i in range(1, len(eigs) + 1):
-        if i == len(eigs) or eigs[i] - eigs[i - 1] > tol:
+        if i == len(eigs) or eigs[i] - eigs[i - 1] > CLUSTER_TOL:
             cluster = eigs[start:i]
             value = float(np.mean(cluster))
-            if abs(value) <= tol:
+            if abs(value) <= CLUSTER_TOL:
                 value = 0.0
             entries.append((value, int(len(cluster))))
             start = i
     return QSpectrum(space_dim=len(eigs), entries=tuple(entries))
-
-
-# ---------------------------------------------------------------------------
-# invariant subspaces
-# ---------------------------------------------------------------------------
-
-
-def pair_matrix(x, y) -> np.ndarray:
-    """M(x, y) = x y^T + y x^T."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return np.outer(x, y) + np.outer(y, x)
-
-
-def _lex_positive(row) -> bool:
-    for v in row:
-        if v != 0:
-            return v > 0
-    return False
-
-
-def subspace_basis(system: IrreducibleRootSystem, which: str) -> list[np.ndarray]:
-    """Spanning matrices (frame coordinates) of a classified eigenspace.
-
-    * A_n, U1: M(x, y) over orthogonal root pairs (eigenvalue 4),
-    * A_n, U2: P_i = sum_j M(e_i - e_j) projectors - 2I (eigenvalue 2(n+1)),
-    * D_n, U1: off-diagonal E_ij + E_ji (eigenvalue 8),
-    * D_n, U2: traceless diagonal (eigenvalue 4(n-2)),
-    * D4 only: D4_PLUS / D4_MINUS, the two 3-dimensional halves of U1(D4).
-
-    Spanning sets are deduplicated up to sign but not reduced to bases.
-    """
-    import numpy as np
-
-    kind, n = system.kind, system.rank
-    if which in (D4_PLUS, D4_MINUS):
-        if (kind, n) != ("D", 4):
-            raise SubspaceUndefined("D4_PLUS/D4_MINUS exist only for D4")
-        flip = -1.0 if which == D4_MINUS else 1.0
-        out = []
-        for a, b, c in np.eye(3):
-            m = np.array(
-                [
-                    [0, a, b, flip * c],
-                    [a, 0, c, flip * b],
-                    [b, c, 0, flip * a],
-                    [flip * c, flip * b, flip * a, 0],
-                ],
-                dtype=float,
-            )
-            out.append(m)
-        return out
-    if which not in (U1, U2):
-        raise SubspaceUndefined(f"unknown subspace {which!r}")
-    if kind == "A":
-        if n < 2:
-            raise SubspaceUndefined("A_n subspaces need n >= 2")
-        frame_rows = system.frame_roots
-        if which == U2:
-            # P_i built from the n roots through vertex i of the extended frame
-            dim = n + 1
-            out = []
-            for i in range(dim):
-                acc = -2.0 * np.eye(n)
-                for j in range(dim):
-                    if j == i:
-                        continue
-                    seed = np.zeros(dim)
-                    seed[i], seed[j] = 1.0, -1.0
-                    r = seed @ system.frame
-                    acc += np.outer(r, r)
-                out.append(acc)
-            return out
-        doubled = system.doubled_roots
-        keep = [i for i in range(len(doubled)) if _lex_positive(doubled[i])]
-        out = []
-        for a_pos in range(len(keep)):
-            for b_pos in range(a_pos + 1, len(keep)):
-                i, j = keep[a_pos], keep[b_pos]
-                if int(doubled[i] @ doubled[j]) == 0:
-                    out.append(pair_matrix(frame_rows[i], frame_rows[j]))
-        return out
-    if kind == "D":
-        if which == U1:
-            out = []
-            for i in range(n):
-                for j in range(i + 1, n):
-                    m = np.zeros((n, n))
-                    m[i, j] = m[j, i] = 1.0
-                    out.append(m)
-            return out
-        out = []
-        for i in range(n - 1):
-            d = np.zeros(n)
-            d[i], d[i + 1] = 1.0, -1.0
-            out.append(np.diag(d))
-        return out
-    raise SubspaceUndefined("E-type traceless spaces are irreducible, no U1/U2 split")
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,16 @@ def test_huge_alpha_exits_1_with_overflow(alpha, capsys):
     assert "Traceback" not in err
 
 
+def test_huge_alpha_error_names_no_nan(capsys):
+    # alpha large enough that x (x - c) overflows in the series kernel, not yet in the tails
+    code, out, err = _run(capsys, ["analyze", "E8", "--alpha", "1e150"])
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "underflow" in err
+    assert "nan" not in err
+
+
 @pytest.mark.parametrize("argv", [["analyze", "E8"], ["table24"], ["table24", "--format", "json"],
                                   ["dim16"], ["dim32"]])
 def test_undecided_sign_exits_1_with_one_line(argv, capsys, monkeypatch):

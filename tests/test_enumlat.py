@@ -105,22 +105,6 @@ def test_budget_guards():
         enumlat.shell_counts(SCALED_Z2, 0)
 
 
-def test_energy_direct_matches_series():
-    entry = latcat.get("E8")
-    alpha = math.pi
-    estimate = enumlat.energy_direct(entry.gram, alpha, 6)
-    series = sum(
-        float(entry.theta.coefficient(m)) * math.exp(-2.0 * alpha * m)
-        for m in range(6, 0, -1)
-    )
-    assert estimate.value == pytest.approx(series, rel=1e-13)
-    assert 0 < estimate.tail < 1e-8
-    with pytest.raises(ValueError):
-        enumlat.energy_direct(entry.gram, 1.0, 6)
-    with pytest.raises(ValueError):
-        enumlat.energy_direct(entry.gram, alpha, 3)
-
-
 def test_hessian_direct_hand_loop():
     alpha = 1.2
     h = np.diag([1.0, -1.0])

@@ -661,6 +661,18 @@ def test_tiny_alpha_raises_underflow(alpha):
         morse.noncritical_certificate(latcat.get("A1^8+A3^8"), alpha)
 
 
+@pytest.mark.parametrize("name", ["E8", "Leech", "Rootless32"])
+def test_huge_alpha_sums_no_nan(name):
+    # x (x - c) overflows once x = 2 alpha m passes ~1e154, where e^-x is already 0.0
+    entry = latcat.get(name)
+    with pytest.raises(morse.ToleranceUnreachable, match="underflow") as info:
+        morse.hessian_spectrum(entry, 1e150)
+    assert "nan" not in str(info.value)
+    if entry.root_count == 0:
+        value, tail = morse.isotropic_hessian_series(entry, 1e150, 8)
+        assert value == 0.0 and math.isfinite(tail)
+
+
 def test_alpha_sweep():
     reports = morse.alpha_sweep(latcat.get("E8^2"), [3.0, ALPHA, 3.3])
     assert [r.alpha for r in reports] == [3.0, ALPHA, 3.3]
@@ -679,6 +691,13 @@ def test_spectrum_partial_consistency():
     assert report.terms == 16
     (line,) = report.lines
     assert morse.isotropic_hessian_series(rootless, ALPHA, 16)[0] == line.value
+
+
+@pytest.mark.parametrize("alpha, m_terms", [(-1.0, 3), (0.0, 3), (math.nan, 3), (math.inf, 3),
+                                             (ALPHA, -3)])
+def test_spectrum_partial_rejects_bad_arguments(alpha, m_terms):
+    with pytest.raises(ValueError):
+        morse.spectrum_partial(latcat.get("E8"), alpha, 24, m_terms)
 
 
 def test_spectrum_report_json():

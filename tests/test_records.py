@@ -25,7 +25,6 @@ VALUE_RECORDS = {
     rootsys.RootSystemProperties: (
         ("count", "coxeter_number", "orthogonal_count", "unit_pair_count", "weyl_order"),
         (240, 30, 126, 56, 696729600)),
-    enumlat.EnergyEstimate: (("value", "tail"), (1.5, 1e-9)),
 }
 
 

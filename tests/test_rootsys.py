@@ -130,14 +130,6 @@ def test_verify_moment_identity():
         assert rootsys.verify_moment_identity(rootsys.make_irreducible(kind, rank))
 
 
-def test_second_moment_matrix():
-    e8 = rootsys.make_irreducible("E", 8)
-    moment = rootsys.second_moment(e8)
-    assert np.max(np.abs(moment - 60.0 * np.eye(8))) < 1e-9
-    a2 = rootsys.make_irreducible("A", 2)
-    assert np.max(np.abs(rootsys.second_moment(a2) - 6.0 * np.eye(2))) < 1e-12
-
-
 def test_second_moment_blocks():
     assert rootsys.second_moment_blocks(rootsys.parse_root_system("D16")) == (60,)
     assert rootsys.second_moment_blocks(rootsys.parse_root_system("A5^4+D4")) == (12,) * 5

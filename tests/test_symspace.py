@@ -14,13 +14,6 @@ def _random_traceless(rng, n: int) -> np.ndarray:
     return h - np.trace(h) / n * np.eye(n)
 
 
-def _apply_q(system, p: np.ndarray) -> np.ndarray:
-    """The polarized operator T(P) = sum_x (x^T P x) x x^T."""
-    rows = system.frame_roots
-    vals = np.einsum("ri,ij,rj->r", rows, p, rows)
-    return np.einsum("r,ri,rj->ij", vals, rows, rows)
-
-
 def test_traceless_basis_orthonormal():
     for n in (2, 4, 7):
         basis = symspace.traceless_basis(n)
@@ -81,35 +74,6 @@ def test_unequal_coxeter_guard():
         symspace.closed_spectrum(rootsys.empty_root_system())
     with pytest.raises(ValueError):
         symspace.numeric_spectrum(rootsys.make_irreducible("A", 1))
-
-
-def test_subspace_bases_are_eigenvectors():
-    cases = (
-        ("A", 4, symspace.U1, 4.0),
-        ("A", 4, symspace.U2, 10.0),
-        ("D", 5, symspace.U1, 8.0),
-        ("D", 5, symspace.U2, 12.0),
-        ("D", 4, symspace.D4_PLUS, 8.0),
-        ("D", 4, symspace.D4_MINUS, 8.0),
-    )
-    for kind, rank, which, lam in cases:
-        system = rootsys.make_irreducible(kind, rank)
-        mats = symspace.subspace_basis(system, which)
-        assert mats
-        for p in mats:
-            assert abs(np.trace(p)) < 1e-12
-            assert np.max(np.abs(_apply_q(system, p) - lam * p)) < 1e-10
-
-
-def test_subspace_undefined():
-    with pytest.raises(symspace.SubspaceUndefined):
-        symspace.subspace_basis(rootsys.make_irreducible("E", 8), symspace.U1)
-    with pytest.raises(symspace.SubspaceUndefined):
-        symspace.subspace_basis(rootsys.make_irreducible("D", 5), symspace.D4_PLUS)
-    with pytest.raises(symspace.SubspaceUndefined):
-        symspace.subspace_basis(rootsys.make_irreducible("A", 1), symspace.U1)
-    with pytest.raises(symspace.SubspaceUndefined):
-        symspace.subspace_basis(rootsys.make_irreducible("A", 4), "U3")
 
 
 def test_design_checks():
