@@ -9,9 +9,10 @@ so floating point only ever prunes with a small slack, never decides.
 
 The walk is depth first over bounded chunks and the consumers below are
 streaming (counts, Hessian pairings), so deep shells of a 16-dimensional
-lattice pass through without ever being held whole; only ``shells_up_to``
+lattice pass through without ever being held whole; only ``short_vectors``
 materializes vectors, and callers wanting millions of them should reach for
-the streaming entry points instead.
+the streaming entry points instead.  The streaming consumers take even Gram
+matrices only and reject an odd one before any walk.
 
 The enumeration budget is deliberate: dimension <= 16 and norm shells 2m with
 m <= 6, enough to cross-check E8 and D16+ against their theta series.
@@ -20,7 +21,6 @@ m <= 6, enough to cross-check E8 and D16+ against their theta series.
 from __future__ import annotations
 
 from . import modforms
-from .records import Frozen
 
 MAX_DIM = 16
 MAX_SHELL = 6
@@ -140,57 +140,29 @@ def short_vectors(gram, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack(pieces), np.concatenate(norm_pieces)
 
 
-class ShellList(Frozen):
-    """All lattice vectors of squared norm ``norm`` (integer coordinates)."""
+def _checked_even(gram, m_max: int) -> np.ndarray:
+    """The integral Gram matrix of an even lattice, with m_max in the shell budget."""
+    import numpy as np
 
-    def __init__(self, norm: int, vectors: np.ndarray) -> None:
-        self.__dict__.update(norm=norm, vectors=vectors)
-
-    @property
-    def count(self) -> int:
-        return int(self.vectors.shape[0])
-
-    def __repr__(self) -> str:
-        return f"ShellList(norm={self.norm}, count={self.count})"
-
-
-def _check_shell_budget(m_max: int) -> None:
     if m_max < 1:
         raise ValueError("m_max >= 1")
     if m_max > MAX_SHELL:
         raise BudgetExceeded(f"shells limited to m <= {MAX_SHELL}")
-
-
-def shells_up_to(gram, m_max: int) -> list[ShellList]:
-    """ShellLists for norms 2, 4, ..., 2*m_max, enumerated afresh on every call."""
-    import numpy as np
-
-    _check_shell_budget(m_max)
-    vectors, norms = short_vectors(gram, 2 * m_max)
-    assert int(np.sum(norms % 2 == 1)) == 0, "even lattice produced an odd norm"
-    shells = []
-    for m in range(1, m_max + 1):
-        sel = vectors[norms == 2 * m]
-        sel.setflags(write=False)
-        shells.append(ShellList(norm=2 * m, vectors=sel))
-    return shells
-
-
-def enumerate_shell(gram, m: int) -> ShellList:
-    """The norm-2m shell of an even positive definite Gram matrix."""
-    return shells_up_to(gram, m)[m - 1]
+    g = _checked_gram(gram)
+    # v^T G v = sum G_ii v_i^2 (mod 2), so every norm is even exactly when every G_ii is
+    if np.any(np.diagonal(g) % 2):
+        raise ValueError("Gram matrix has an odd diagonal entry: the lattice is not even")
+    return g
 
 
 def shell_counts(gram, m_max: int) -> tuple[int, ...]:
     """Sizes of the norm-2, ..., norm-2*m_max shells, without storing vectors."""
     import numpy as np
 
-    _check_shell_budget(m_max)
-    g = _checked_gram(gram)
+    g = _checked_even(gram, m_max)
     counts = np.zeros(2 * m_max + 1, dtype=np.int64)
 
     def visit(v, norms):
-        assert int(np.sum(norms % 2 == 1)) == 0, "even lattice produced an odd norm"
         counts[:] += np.bincount(norms, minlength=2 * m_max + 1)
 
     _enumerate(g, 2 * m_max, visit)
@@ -207,8 +179,7 @@ def hessian_direct(gram, alpha: float, h, m_max: int, basis=None) -> float:
     """
     import numpy as np
 
-    g = _checked_gram(gram)
-    _check_shell_budget(m_max)
+    g = _checked_even(gram, m_max)
     modforms._check_alpha(alpha)
     n = g.shape[0]
     h = np.asarray(h, dtype=float)

@@ -309,7 +309,8 @@ def noncritical_certificate(entry: LatticeEntry, alpha: float, direction=None) -
     Delta E6 is summed through m = 16 at fold.at, closed with its
     Jenkins-Rouse tail and scaled back as a spectral line is (see _Fold).
     Raises CertificateFails when the sum does not clear its radius (alpha
-    within roundoff of pi, where E6(i) = 0), and Inapplicable for a moment
+    within roundoff of pi, where E6(i) = 0) or the root term underflows to 0
+    (alpha above about 372), and Inapplicable for a moment
     defect in dimension <= 24, where no even unimodular lattice has it.
     """
     modforms._check_alpha(alpha)
@@ -358,6 +359,10 @@ def noncritical_certificate(entry: LatticeEntry, alpha: float, direction=None) -
     fold = _fold(entry, alpha, CertificateFails)
     at = fold.at
     root = at * math.exp(-2.0 * at) * root_pairing
+    if root == 0.0:
+        # nothing can dominate a remainder >= 0; and 2 at m may be inf, where the sums read NaN
+        raise CertificateFails(f"root term 0 does not dominate: at alpha = {alpha:g} the "
+                               "root term underflows to 0 in float64")
     value, radius = fold.spectral(root, 0.0, root, (2.0 * at + 1.0) * root)
     root_term = value - radius
     # m >= 2: their 1e-13 roundoff also covers the root term's ulps where the two are close
@@ -507,12 +512,18 @@ def _eigenvalue(fold: _Fold, n: int, sums, tails, coef: int) -> tuple[float, flo
 
 
 def _tails(entry: LatticeEntry, at: float, terms: int) -> tuple[float, float]:
-    """Certified theta and cusp tails of Sa and Sb beyond m = terms (nonincreasing in it)."""
+    """Certified theta and cusp tails of Sa and Sb beyond m = terms (nonincreasing in it).
+    Raises ToleranceUnreachable ("overflow") when a tail is not finite."""
     a_tail = 4.0 * at * at * entry.coeff_bound().series_tail(terms + 1, at, extra_exponent=2)
-    if entry.cusp is None:
-        return a_tail, 0.0
-    cusp = _cusp_bound(entry.dimension // 2 + 4)
-    return a_tail, (at * at / 2.0) * cusp.series_tail(terms + 1, at)
+    b_tail = 0.0
+    if entry.cusp is not None:
+        cusp = _cusp_bound(entry.dimension // 2 + 4)
+        b_tail = (at * at / 2.0) * cusp.series_tail(terms + 1, at)
+    for tail, factor in ((a_tail, "4 alpha^2"), (b_tail, "alpha^2 / 2")):
+        if not math.isfinite(tail):
+            raise ToleranceUnreachable(f"overflow: at alpha = {at:g} the factor {factor} "
+                                       "of a tail bound exceeds the float64 range")
+    return a_tail, b_tail
 
 
 @lru_cache(maxsize=4)
@@ -550,10 +561,6 @@ def hessian_spectrum(entry: LatticeEntry, alpha: float, tol: float = 1e-10) -> S
             "has a positive roundoff part"
         )
     tails = _tails(entry, fold.at, _TERMS)
-    for tail, factor in zip(tails, ("4 alpha^2", "alpha^2 / 2")):
-        if not math.isfinite(tail):
-            raise ToleranceUnreachable(f"overflow: at alpha = {fold.at:g} the factor {factor} "
-                                       "of a tail bound exceeds the float64 range")
     n = entry.dimension
     sums = _kernel(entry, fold.at, _TERMS)
     lines, widest = [], 0
@@ -659,11 +666,13 @@ def deformation_check(gram, alpha: float, direction, m_max: int = 4) -> Deformat
     from . import enumlat
 
     g = np.asarray(gram)
-    n = g.shape[0]
     h = np.asarray(direction, dtype=float)
+    # validates the Gram matrix, shell budget, alpha and direction before any walk
+    analytic = enumlat.hessian_direct(g, alpha, h, m_max)
+    vectors, norms = enumlat.short_vectors(g, 2 * m_max)
+    # shell by shell, so the energy sums add in a fixed order
     frame = np.linalg.cholesky(g.astype(float)).T
-    shells = enumlat.shells_up_to(g, m_max)
-    points = np.vstack([s.vectors @ frame.T for s in shells if s.count])
+    points = vectors[np.argsort(norms, kind="stable")] @ frame.T
 
     evals, evecs = np.linalg.eigh(h)
 
@@ -677,7 +686,6 @@ def deformation_check(gram, alpha: float, direction, m_max: int = 4) -> Deformat
         - (energy(2 * _STEP) + energy(-2 * _STEP))
         - 30.0 * energy(0.0)
     ) / (12.0 * _STEP * _STEP)
-    analytic = enumlat.hessian_direct(g, alpha, h, m_max)
     ratio = d2 / analytic
     return DeformationCheck(
         measured_ratio=ratio,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
 
 from .rootsys import IrreducibleRootSystem, RootSystem, _gram_schmidt, direct_sum
 
@@ -45,34 +44,8 @@ class UnsupportedDimension(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# traceless basis and the quartic form
+# the quartic form
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=64)
-def traceless_basis(n: int) -> np.ndarray:
-    """Deterministic orthonormal basis of T0^n, shape (d, n, n), d = n(n+1)/2 - 1.
-
-    Off-diagonal elements (E_ij + E_ji)/sqrt(2) in lexicographic (i, j) order,
-    then n-1 diagonal vectors from Gram-Schmidt on E_ii - E_(i+1,i+1).
-    """
-    import numpy as np
-
-    if n < 2:
-        raise ValueError("traceless space needs n >= 2")
-    mats = []
-    s = 1.0 / math.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n))
-            m[i, j] = m[j, i] = s
-            mats.append(m)
-    # columns e_i - e_(i+1)
-    diag = _gram_schmidt(np.eye(n, n - 1) - np.eye(n, n - 1, k=-1))
-    mats.extend(np.diag(column) for column in diag.T)
-    basis = np.stack(mats)
-    basis.setflags(write=False)
-    return basis
 
 
 def _as_matrix(h, n: int) -> np.ndarray:
@@ -162,18 +135,19 @@ def closed_spectrum(system: RootSystem | IrreducibleRootSystem) -> QSpectrum:
 
 
 def _basis_values(points: np.ndarray) -> np.ndarray:
-    """x^T B x over points x (rows) and ``traceless_basis`` elements B (columns)."""
+    """x^T B x over points x (rows) and the elements B (columns) of an orthonormal
+    basis of T0^n: first (E_ij + E_ji)/sqrt(2) for i < j in lexicographic order,
+    then the n - 1 diagonal matrices from Gram-Schmidt on E_ii - E_(i+1,i+1)."""
     import numpy as np
 
     n = points.shape[1]
-    # the off-diagonal elements (E_ij + E_ji)/sqrt(2) come first, in this order
     i, j = np.triu_indices(n, 1)
-    diagonals = np.diagonal(traceless_basis(n)[len(i):], axis1=1, axis2=2)
-    return np.hstack([math.sqrt(2.0) * points[:, i] * points[:, j], points**2 @ diagonals.T])
+    diagonals = _gram_schmidt(np.eye(n, n - 1) - np.eye(n, n - 1, k=-1))
+    return np.hstack([math.sqrt(2.0) * points[:, i] * points[:, j], points**2 @ diagonals])
 
 
 def quartic_gram(system: RootSystem | IrreducibleRootSystem) -> np.ndarray:
-    """Gram matrix of the polarized quartic form on ``traceless_basis``."""
+    """Gram matrix of the polarized quartic form on the ``_basis_values`` basis of T0^n."""
     values = _basis_values(system.frame_roots)
     return values.T @ values
 
@@ -219,7 +193,7 @@ def design_check(points, t: int) -> DesignCheck:
 
     t = 2: max-entry residual of sum x x^T = (r^2 |X| / n) I, pass at 1e-10.
     t = 4: additionally the polarized quartic identity
-    sum_x H[x] G[x] = (2 r^4 |X| / (n (n+2))) <H, G> over the traceless basis,
+    sum_x H[x] G[x] = (2 r^4 |X| / (n (n+2))) <H, G> over the ``_basis_values`` basis,
     measured as a relative Gram residual, pass at 1e-8.
     """
     import numpy as np

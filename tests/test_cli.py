@@ -157,6 +157,14 @@ def test_huge_alpha_error_names_no_nan(capsys):
     assert "nan" not in err
 
 
+def test_huge_cert_alpha_error_names_no_nan(capsys):
+    code, out, err = _run(capsys, ["dim32", "--cert-alpha", "1e308"])
+    assert code == 1
+    assert "root term 0 does not dominate" in err
+    assert "nan" not in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [["analyze", "E8"], ["table24"], ["table24", "--format", "json"],
                                   ["dim16"], ["dim32"]])
 def test_undecided_sign_exits_1_with_one_line(argv, capsys, monkeypatch):

@@ -41,17 +41,6 @@ def test_short_vectors_symmetry_and_norms():
     assert np.array_equal(check, norms)
 
 
-def test_shells_cached_and_indexed():
-    g = latcat.get("E8").gram
-    first = enumlat.shells_up_to(g, 3)
-    second = enumlat.shells_up_to(g, 2)
-    assert np.array_equal(second[0].vectors, first[0].vectors)
-    shell = enumlat.enumerate_shell(g, 2)
-    assert shell.norm == 4
-    assert shell.count == 2160
-    assert not shell.vectors.flags.writeable
-
-
 def test_scaled_square_lattice_by_hand():
     # a^2 + b^2 takes values 1, 2, 4, 5 with 4, 4, 4, 8 representations
     counts = enumlat.shell_counts(SCALED_Z2, 5)
@@ -127,6 +116,21 @@ def test_hessian_direct_guards():
         enumlat.hessian_direct(SCALED_Z2, 1.0, np.diag([1.0, 0.0, -1.0]), 2)
     with pytest.raises(ValueError):
         enumlat.hessian_direct(SCALED_Z2, 1.0, np.diag([1.0, -1.0]), 2, basis=np.eye(2))
+
+
+def test_odd_gram_rejected_before_walk():
+    # Z^2 has norm-1 vectors: the even-lattice oracles must refuse it, not
+    # drop or mis-bucket its odd norms; an explicit check survives python -O
+    for call in (lambda: enumlat.shell_counts(np.eye(2), 2),
+                 lambda: enumlat.hessian_direct(np.eye(2), 1.0, np.diag([1.0, -1.0]), 2)):
+        with pytest.raises(ValueError, match="not even"):
+            call()
+    # an odd diagonal entry beyond the shell budget still makes the lattice odd
+    with pytest.raises(ValueError, match="not even"):
+        enumlat.shell_counts(np.diag([2, 13]), 1)
+    # short_vectors enumerates any positive definite lattice
+    _, norms = enumlat.short_vectors(np.eye(2), 2)
+    assert sorted(norms.tolist()) == [1] * 4 + [2] * 4
 
 
 def _nan_at(array, *index):

@@ -673,6 +673,21 @@ def test_huge_alpha_sums_no_nan(name):
         assert value == 0.0 and math.isfinite(tail)
 
 
+@pytest.mark.parametrize("alpha", [1e154, 1e200, 1e300])
+def test_isotropic_series_tail_overflow_raises(alpha):
+    # 4 alpha^2 of the theta tail overflows: inf at 1e154, NaN beyond, never a tail
+    with pytest.raises(morse.ToleranceUnreachable, match="overflow"):
+        morse.isotropic_hessian_series(latcat.get("Rootless32"), alpha, 8)
+
+
+@pytest.mark.parametrize("alpha", [400.0, 6e306, 1e308])
+def test_certificate_zero_root_weight_names_no_nan(alpha):
+    # e^(-2 alpha) underflows to 0 near alpha = 372, and 2 alpha m overflows near 1e307
+    with pytest.raises(morse.CertificateFails, match="^root term 0 does not dominate") as info:
+        morse.noncritical_certificate(latcat.get("A1^8+A3^8"), alpha)
+    assert "nan" not in str(info.value)
+
+
 def test_alpha_sweep():
     reports = morse.alpha_sweep(latcat.get("E8^2"), [3.0, ALPHA, 3.3])
     assert [r.alpha for r in reports] == [3.0, ALPHA, 3.3]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from latmorse import enumlat, latcat, modforms, morse, rootsys, symspace
+from latmorse import latcat, modforms, morse, rootsys, symspace
 
 # value record -> (field names in positional order, one value per field)
 VALUE_RECORDS = {
@@ -83,7 +83,6 @@ def _identity_records():
     report = morse.hessian_spectrum(latcat.get("E8"), 5.0)
     cert = morse.noncritical_certificate(latcat.get("A1^8+A3^8"), 14.0)
     a2 = rootsys.make_irreducible("A", 2)
-    shell = enumlat.enumerate_shell(e8.gram, 1)
     fields = {
         latcat.LatticeEntry: ("name", "dimension", "root_system", "root_count",
                               "coxeter_number", "theta", "cusp", "with_gram"),
@@ -94,9 +93,8 @@ def _identity_records():
                                "morse_index", "margin", "side"),
         rootsys.IrreducibleRootSystem: ("kind", "rank"),
         rootsys.RootSystem: ("components",),
-        enumlat.ShellList: ("norm", "vectors"),
     }
-    for record in (e8, crit, cert, report, a2, e8.root_system, shell):
+    for record in (e8, crit, cert, report, a2, e8.root_system):
         names = fields[type(record)]
         values = {name: getattr(record, name) for name in names}
         yield record, type(record)(**values), names
@@ -116,7 +114,7 @@ def test_identity_records():
                 setattr(record, name, None)
         with pytest.raises(AttributeError):
             record.not_a_field = 1
-    assert len(seen) == 7
+    assert len(seen) == 6
 
 
 def test_identity_record_defaults_and_cached_properties():

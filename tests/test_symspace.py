@@ -14,9 +14,24 @@ def _random_traceless(rng, n: int) -> np.ndarray:
     return h - np.trace(h) / n * np.eye(n)
 
 
-def test_traceless_basis_orthonormal():
-    for n in (2, 4, 7):
-        basis = symspace.traceless_basis(n)
+def _full_basis(n: int) -> np.ndarray:
+    """The (d, n, n) basis of T0^n that ``_basis_values`` evaluates, built whole:
+    (E_ij + E_ji)/sqrt(2) for i < j, then Gram-Schmidt on E_ii - E_(i+1,i+1)."""
+    mats = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = np.zeros((n, n))
+            m[i, j] = m[j, i] = 1.0 / np.sqrt(2.0)
+            mats.append(m)
+    diag = rootsys._gram_schmidt(np.eye(n, n - 1) - np.eye(n, n - 1, k=-1))
+    mats.extend(np.diag(column) for column in diag.T)
+    return np.stack(mats)
+
+
+def test_basis_values_match_orthonormal_basis():
+    rng = np.random.default_rng(5)
+    for n in (2, 4, 7, 24):
+        basis = _full_basis(n)
         d = n * (n + 1) // 2 - 1
         assert basis.shape == (d, n, n)
         for mat in basis:
@@ -24,6 +39,10 @@ def test_traceless_basis_orthonormal():
             assert np.max(np.abs(mat - mat.T)) == 0.0
         gram = np.einsum("aij,bij->ab", basis, basis)
         assert np.max(np.abs(gram - np.eye(d))) < 1e-12
+        # _basis_values reads x^T B x on exactly this basis, column by column
+        points = rng.normal(size=(30, n))
+        expected = np.einsum("ri,bij,rj->rb", points, basis, points)
+        assert np.max(np.abs(symspace._basis_values(points) - expected)) < 1e-12
 
 
 def test_quartic_form_isotropic_shells():
@@ -128,9 +147,9 @@ def test_shell_quartic_sum_matches_enumeration():
     entry = latcat.get("D16+")
     h = np.diag([15.0] + [-1.0] * 15)
     h /= np.sqrt(np.trace(h @ h))
+    vectors, norms = enumlat.short_vectors(entry.gram, 4)
     for m in (1, 2):
-        shell = enumlat.enumerate_shell(entry.gram, m)
-        x = shell.vectors @ entry.basis
+        x = vectors[norms == 2 * m] @ entry.basis
         direct = float(np.sum(np.einsum("ri,ij,rj->r", x, h, x) ** 2))
         assert symspace.shell_quartic_sum(entry, h, m) == pytest.approx(direct, rel=1e-12)
     # the root shell reproduces the quartic form itself
