@@ -1,24 +1,24 @@
 """Exact q-series arithmetic and certified coefficient bounds.
 
-Every modular form read here lies in the ring generated by E4, E6 and
-Delta = (E4^3 - E6^2) / 1728 (Serre, *A Course in Arithmetic*, ch. VII), so
-one cached basis of integer monomials in E4, E6 and Delta serves them all:
-E4, E4^2, E4^3, E4^4, Delta, E4 Delta, E4^2 Delta and Delta E6.
+Every modular form read here lies in some M_w, which the monomials
+E4^a E6^b Delta^c with 4a + 6b + 12c = w span, where Delta = (E4^3 - E6^2) /
+1728 (Serre, *A Course in Arithmetic*, ch. VII).  One weight rule picks a
+basis of M_w: row c is E4^a E6^b Delta^c with 4a + 6b = w - 12c and b <= 1,
+for each c with w - 12c >= 0 other than w - 12c = 2.  Row c is
+q^c + O(q^(c+1)), so there are dim M_w rows and rows 1.. span S_w.
 
 * Theta series.  An even unimodular lattice of dimension n = 8k has its theta
-  series in M_4k.  For k <= 2 that space is spanned by E4^k; for k = 3, 4 by
-  E4^k and the cusp form E4^(k-3) Delta = q + O(q^2).  E4^k = 1 + 240k q + ...,
-  so matching the coefficient of q, the root count a_1, gives
+  series in M_4k, whose row 0 is E4^k = 1 + 240k q + ...  Where S_4k = 0
+  (n = 8, 16) this forces the root count a_1 = 240k; where S_4k is a line
+  (n = 24, 32, 40) matching a_1 gives
 
-      theta = E4^k + (a_1 - 240k) E4^(k-3) Delta,
+      theta = E4^k + (a_1 - 240k) E4^(k-3) Delta;
 
-  and for k <= 2 forces a_1 = 240k.
-* Cusp forms.  dim S_w = dim M_(w-12), and M_0, M_4, M_6, M_8 are spanned by
-  1, E4, E6, E4^2; so S_12, S_16, S_18 and S_20 are spanned by Delta,
-  E4 Delta, Delta E6 and E4^2 Delta.  The forms of weight n/2 + 4 that pair
-  with the degree-4 harmonics of a dimension-n theta series are
-  E4^(k-2) Delta; Delta E6 is the weight-18 form that pairs with the
-  degree-2 harmonics in dimension 32.
+  beyond, a_1 alone does not fix theta.
+* Cusp forms.  The forms of weight n/2 + 4 that pair with the degree-4
+  harmonics of a dimension-n theta series are row 1 of that weight where
+  S_(n/2+4) is a line (n = 16, 24, 32); Delta E6, row 1 of weight 18, pairs
+  with the degree-2 harmonics in dimension 32.
 
 Coefficients are exact ints (Fractions only where a fractional root count
 leaves a combination non-integral); floats appear only in the certified-bound
@@ -44,7 +44,6 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 
 from .records import Frozen
 
@@ -142,6 +141,8 @@ class QSeries(Frozen):
         return len(self.coeffs)
 
     def coefficient(self, m: int) -> int | Fraction:
+        if m < 0:
+            raise ValueError(f"no coefficient of q^{m} in a q-expansion")
         if m >= len(self.coeffs):
             raise TruncationInsufficient(
                 f"coefficient {m} beyond truncation order {len(self.coeffs)}"
@@ -211,26 +212,34 @@ def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(map(operator.mul, a[: m + 1], rb[n - 1 - m :])) for m in range(n))
 
 
-@lru_cache(maxsize=32)
-def _basis(length: int) -> MappingProxyType:
-    """E4^i E6^j Delta^l to ``length`` terms, keyed (i, j, l): E4^1..E4^4,
-    Delta, E4 Delta, E4^2 Delta and Delta E6, all exact ints.
+def _weight_rows(w: int) -> list[tuple[int, int, int]]:
+    """Exponents (a, b, c) of the rows of even weight w >= 0 (module docstring)."""
+    # r = w - 12c = 4a + 6b: b = 1 exactly when r = 2 (mod 4), and then a = r // 4 - 1
+    return [(r // 4 - r % 4 // 2, r % 4 // 2, c)
+            for c, r in enumerate(range(w, -1, -12)) if r != 2]
 
-    Delta = (E4^3 - E6^2) / 1728 is an exact integer division.
-    """
-    e4 = (1,) + tuple(240 * s for s in _sigma_table(3, length)[1:])
-    e6 = (1,) + tuple(-504 * s for s in _sigma_table(5, length)[1:])
-    rows = {(1, 0, 0): e4}
-    for i in (2, 3, 4):
-        rows[i, 0, 0] = _convolve(rows[i - 1, 0, 0], e4)
-    diff = [a - b for a, b in zip(rows[3, 0, 0], _convolve(e6, e6))]
-    assert all(c % 1728 == 0 for c in diff)
-    delta = rows[0, 0, 1] = tuple(c // 1728 for c in diff)
-    assert delta[:2] == (0, 1)[:length]
-    rows[1, 0, 1] = _convolve(e4, delta)
-    rows[2, 0, 1] = _convolve(e4, rows[1, 0, 1])
-    rows[0, 1, 1] = _convolve(delta, e6)
-    return MappingProxyType(rows)
+
+@lru_cache(maxsize=256)
+def _monomial(a: int, b: int, c: int, length: int) -> tuple[int, ...]:
+    """E4^a E6^b Delta^c (a + b + c >= 1) to ``length`` terms in exact ints: one convolution
+    of the cached monomial with one E4 (else E6, else Delta) fewer.  Delta = (E4^3 - E6^2)/1728."""
+    if (a, b, c) == (0, 0, 1):
+        diff = [x - y for x, y in zip(_monomial(3, 0, 0, length), _monomial(0, 2, 0, length))]
+        assert all(d % 1728 == 0 for d in diff)
+        return tuple(d // 1728 for d in diff)
+    if a + b + c == 1:
+        first = int(eisenstein_first_coeff(4 + 2 * b))
+        return (1,) + tuple(first * s for s in _sigma_table(3 + 2 * b, length)[1:])
+    factor = (1, 0, 0) if a else (0, 1, 0) if b else (0, 0, 1)
+    rest = _monomial(a - factor[0], b - factor[1], c - factor[2], length)
+    return _convolve(rest, _monomial(*factor, length))
+
+
+def _eighth(n: int) -> int:
+    """k = n / 8 for a dimension n that is a positive multiple of 8."""
+    if n <= 0 or n % 8:
+        raise UnsupportedDimension(f"dimension must be a positive multiple of 8, got {n}")
+    return n // 8
 
 
 def _combine(base, row, factor: Fraction) -> tuple:
@@ -241,8 +250,8 @@ def _combine(base, row, factor: Fraction) -> tuple:
 
 
 def discriminant(length: int = DEFAULT_LENGTH) -> QSeries:
-    """The normalized weight-12 cusp form (E4^3 - E6^2) / 1728."""
-    return QSeries(12, _basis(length)[0, 0, 1])
+    """The normalized weight-12 cusp form (E4^3 - E6^2) / 1728, row 1 of weight 12."""
+    return QSeries(12, _monomial(*_weight_rows(12)[1], length))
 
 
 def eisenstein_first_coeff(k: int) -> Fraction:
@@ -251,34 +260,28 @@ def eisenstein_first_coeff(k: int) -> Fraction:
 
 
 def cusp_normalized(n: int, length: int = DEFAULT_LENGTH) -> QSeries:
-    """Normalized cusp form E4^(k-2) Delta of weight n/2 + 4 for n = 8k in {16, 24, 32}.
-
-    These are the forms pairing with degree-4 harmonics of theta series
-    (module docstring).  Dimension 8 has no cusp form of weight 8, which
-    callers treat as an identically zero series.
-    """
-    k = n // 8
-    if n % 8 or not 2 <= k <= 4:
-        raise UnsupportedDimension(f"no weight-(n/2+4) cusp form stored for n={n}")
-    return QSeries(4 * k + 4, _basis(length)[k - 2, 0, 1])
+    """Normalized cusp form of weight w = n/2 + 4, row 1 of that weight, where
+    S_w is a line (n = 16, 24, 32), pairing with degree-4 harmonics of theta
+    series (module docstring).  Dimension 8 has no cusp form of weight 8,
+    which callers treat as an identically zero series."""
+    w = 4 * _eighth(n) + 4
+    rows = _weight_rows(w)
+    if len(rows) != 2:
+        raise UnsupportedDimension(f"S_{w} is not a line, so no cusp form is stored for n={n}")
+    return QSeries(w, _monomial(*rows[1], length))
 
 
 def theta_even_unimodular(n: int, root_count, length: int = DEFAULT_LENGTH) -> QSeries:
-    """Theta series E4^k + (root_count - 240k) E4^(k-3) Delta of an even
-    unimodular lattice of dimension n = 8k in {8, 16, 24, 32}.
-
-    For k <= 2 there is no cusp form, and root_count must be 240k (module
-    docstring).
-    """
-    k = n // 8
-    if n % 8 or not 1 <= k <= 4:
-        raise UnsupportedDimension(f"theta series known for n in 8..32 by 8, got {n}")
-    rows, cusp = _basis(length), Fraction(root_count) - 240 * k
-    if k < 3:
-        if cusp:
-            raise InconsistentRootCount(f"dimension {n} forces {240 * k} roots")
-        return QSeries(4 * k, rows[k, 0, 0])
-    return QSeries(4 * k, _combine(rows[k, 0, 0], rows[k - 3, 0, 1], cusp))
+    """Theta series of an even unimodular lattice of dimension n with
+    root_count roots, from the rows of weight n/2 (module docstring)."""
+    k = _eighth(n)
+    rows, cusp = _weight_rows(4 * k), Fraction(root_count) - 240 * k
+    if len(rows) > 2:
+        raise UnsupportedDimension(f"the root count does not fix theta in dimension {n}")
+    if len(rows) == 1 and cusp:
+        raise InconsistentRootCount(f"dimension {n} forces {240 * k} roots")
+    theta = _monomial(*rows[0], length)
+    return QSeries(4 * k, _combine(theta, _monomial(*rows[1], length), cusp) if cusp else theta)
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +336,7 @@ def eisenstein_coeff_bound(n: int) -> CoeffBound:
     |(2k/|B_k|) sigma_{k-1}(m)| <= (2k/|B_k|) zeta(k-1) m^(k-1) with k = n/2;
     the constant is rounded up to 2 significant digits (n = 32 gives 4.6).
     """
-    if n % 8 != 0 or not 8 <= n <= 32:
-        raise UnsupportedDimension(f"Eisenstein bound defined for n in 8..32 by 8, got {n}")
-    k = n // 2
+    k = 4 * _eighth(n)
     raw = abs(float(eisenstein_first_coeff(k))) * zeta_upper(k - 1)
     return CoeffBound(((round_up_significant(raw, 2), k - 1),))
 
@@ -343,15 +344,14 @@ def eisenstein_coeff_bound(n: int) -> CoeffBound:
 def jenkins_rouse_constant(k: int, leading_coeffs) -> float:
     """Explicit constant C with |a_m| <= C d(m) m^((k-1)/2) for a weight-k cusp form.
 
-    ``leading_coeffs`` are the first coefficients a_1..a_R of the form (any
-    nonempty prefix works; the bound uses whatever is supplied).  Formula of
-    Jenkins and Rouse, evaluated with upward rounding slack.
+    ``leading_coeffs`` are exactly its first dim S_k coefficients, which fix it
+    (module docstring).  Formula of Jenkins and Rouse, with upward rounding slack.
     """
     if k < 12 or k % 2 != 0:
         raise InvalidWeight(f"cusp weight must be even and >= 12, got {k}")
     coeffs = [float(c) for c in leading_coeffs]
-    if not coeffs:
-        raise ValueError("need at least one leading coefficient")
+    if len(coeffs) != len(_weight_rows(k)) - 1:
+        raise ValueError(f"S_{k} needs exactly {len(_weight_rows(k)) - 1} leading coefficients")
     quad = math.sqrt(sum(c * c / float(r + 1) ** (k - 1) for r, c in enumerate(coeffs)))
     lin = abs(sum(c * math.exp(-7.288 * (r + 1)) for r, c in enumerate(coeffs)))
     # e^18.72 * 41.41^(k/2) / k^((k-1)/2), safely in log space
@@ -369,15 +369,13 @@ def cusp_coeff_bound(k: int, leading_coeffs) -> CoeffBound:
 def theta_coeff_bound(n: int, root_count) -> CoeffBound:
     """Certified bound on |a_m| for the dimension-n theta with given root count.
 
-    Eisenstein part from ``eisenstein_coeff_bound``; for n >= 24 the cusp part
-    uses the Jenkins-Rouse constant of the cusp component, whose first
-    coefficient is root_count - (coefficient of q in E_{n/2}).
+    Eisenstein part from ``eisenstein_coeff_bound``; where S_(n/2) is not 0
+    the cusp part uses the Jenkins-Rouse constant of the cusp component, whose
+    first coefficient is root_count - (coefficient of q in E_{n/2}).
     """
     eis = eisenstein_coeff_bound(n)
-    if n < 24:
-        return eis
     c1 = Fraction(root_count) - eisenstein_first_coeff(n // 2)
-    if c1 == 0:
+    if c1 == 0 or len(_weight_rows(n // 2)) == 1:
         return eis
     cusp = cusp_coeff_bound(n // 2, (c1,))
     return CoeffBound(eis.terms + cusp.terms)
@@ -391,10 +389,12 @@ def incomplete_gamma(s: int, x: float) -> float:
     """
     if s < 1:
         raise ValueError("integer s >= 1 required")
-    if x < 0:
+    if not x >= 0:
         raise ValueError("x >= 0 required")
     if x == 0.0:
         return float(math.factorial(s - 1))
+    if x == math.inf:  # Gamma(s, inf) = 0: the floor that every x past ~700 returns
+        return math.exp(_LOG_FLOOR) * _UP
     # partial sum with the largest term factored out, all in logs
     logs = [t * math.log(x) - math.lgamma(t + 1) for t in range(s)]
     peak = max(logs)

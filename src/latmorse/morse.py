@@ -294,10 +294,9 @@ class Certificate(Frozen):
         return self.root_term - self.remainder
 
 
-@lru_cache(maxsize=1)
-def _delta_e6() -> tuple[float, ...]:
-    """Delta E6 through q^_TERMS from the cached basis row, exact as floats."""
-    return tuple(map(float, modforms._basis(modforms.DEFAULT_LENGTH)[0, 1, 1][: _TERMS + 1]))
+# Delta E6 (row 1 of weight 18) through q^_TERMS as floats: built on import, never by a request
+_DELTA_E6 = tuple(map(float, modforms._monomial(
+    *modforms._weight_rows(18)[1], modforms.DEFAULT_LENGTH)[: _TERMS + 1]))
 
 
 def noncritical_certificate(entry: LatticeEntry, alpha: float, direction=None) -> Certificate:
@@ -366,7 +365,7 @@ def noncritical_certificate(entry: LatticeEntry, alpha: float, direction=None) -
     value, radius = fold.spectral(root, 0.0, root, (2.0 * at + 1.0) * root)
     root_term = value - radius
     # m >= 2: their 1e-13 roundoff also covers the root term's ulps where the two are close
-    terms = [c * math.exp(-2.0 * at * m) for m, c in enumerate(_delta_e6()) if m > 1]
+    terms = [c * math.exp(-2.0 * at * m) for m, c in enumerate(_DELTA_E6) if m > 1]
     partial = math.fsum(terms)
     assert partial <= 0.0, "Delta E6 - q is negative at q < e^(-2 pi), where E6 > 0"
     abs_sum = math.fsum(map(abs, terms))

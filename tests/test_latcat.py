@@ -141,11 +141,11 @@ def test_catalog_build_uses_no_qseries_products(monkeypatch):
     def refuse(self, other):
         raise AssertionError("QSeries.__mul__ called while building the catalog")
 
-    for cached in (latcat._catalog, modforms._basis):
+    for cached in (latcat._catalog, modforms._monomial):
         cached.cache_clear()
     monkeypatch.setattr(modforms.QSeries, "__mul__", refuse)
     assert len(latcat.list_catalog()) == 29
-    assert modforms._basis.cache_info().misses > 0
+    assert modforms._monomial.cache_info().misses > 0
 
 
 def test_series_floats():
@@ -185,7 +185,7 @@ def test_short_rows_are_views_of_the_catalog_rows():
 
 
 # first requests of a fresh process, one per dimension and one certificate;
-# prints the _basis misses before and after, the exact series constructors
+# prints the _monomial misses before and after, the exact series constructors
 # called after the catalog build, and whether a short row shares the
 # entry-length row's buffer
 _FIRST_REQUESTS = """
@@ -197,13 +197,13 @@ for name in ("theta_even_unimodular", "cusp_normalized", "discriminant"):
         built.append(_name)
         return _fn(*args, **kwargs)
     setattr(modforms, name, counted)
-before = modforms._basis.cache_info().misses
+before = modforms._monomial.cache_info().misses
 for name in ("E8", "D16+", "Leech", "Rootless32"):
     morse.hessian_spectrum(latcat.get(name), 1.2)
 morse.noncritical_certificate(latcat.get("A1^8+A3^8"), 1.2)
 entry = latcat.get("Leech")
 shared = entry.series_floats(17)[0].obj is entry.series_floats(64)[0].obj
-print((before, modforms._basis.cache_info().misses, built, shared))
+print((before, modforms._monomial.cache_info().misses, built, shared))
 """
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latmorse import modforms as mf
@@ -109,6 +109,9 @@ def test_qseries_truncation():
         e4.coefficient(10)
     short = mf.eisenstein(4, length=5)
     assert (e4 * short).length == 5
+    # a negative index must not wrap round to the last stored coefficient
+    with pytest.raises(ValueError, match="no coefficient"):
+        e4.coefficient(-1)
 
 
 def test_qseries_product_rows():
@@ -189,10 +192,14 @@ def _fraction_basis(length):
 
 @pytest.mark.parametrize("length", [2, 17, 64, 129])
 def test_integer_basis_matches_fraction_products(length):
-    reference, basis = _fraction_basis(length), mf._basis(length)
-    assert set(basis) == set(reference)
+    # every row the weight rule gives at the weights the package reads: theta
+    # (4, 8, 12, 16), cusp forms (12, 16, 20) and Delta E6 (18)
+    reference = _fraction_basis(length)
+    rows = {key for w in (4, 8, 12, 16) for key in mf._weight_rows(w)}
+    rows |= {mf._weight_rows(w)[1] for w in (12, 16, 18, 20)}
+    assert rows == set(reference)
     for key, form in reference.items():
-        row = basis[key]
+        row = mf._monomial(*key, length)
         assert all(type(c) is int for c in row), key
         assert row == form.coeffs, key
 
@@ -267,7 +274,7 @@ def test_eisenstein_coeff_bound_constants():
 
 
 def test_eisenstein_coeff_bound_dominates():
-    cases = {8: mf.eisenstein(4), 16: mf.eisenstein(8), 24: mf.eisenstein(12)}
+    cases = {n: mf.eisenstein(n // 2) for n in (8, 16, 24, 32, 40, 48)}
     for n, series in cases.items():
         bound = mf.eisenstein_coeff_bound(n)
         for m in range(1, 25):
@@ -286,6 +293,30 @@ def test_jenkins_rouse_reference_constant():
         mf.jenkins_rouse_constant(13, (1,))
     with pytest.raises(ValueError):
         mf.jenkins_rouse_constant(16, ())
+    # S_24 is spanned by E4^3 Delta and Delta^2 = q^2 + ...: a_1 alone cannot bound it
+    assert mf.jenkins_rouse_constant(24, (0, 1)) == pytest.approx(383380.88183625, rel=1e-12)
+    for short in ((0,), (1,), (0, 1, 0)):
+        with pytest.raises(ValueError, match="exactly 2"):
+            mf.jenkins_rouse_constant(24, short)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.sampled_from([24, 28, 36, 40]),
+       weights=st.lists(st.integers(-1000, 1000), min_size=3, max_size=3))
+@example(k=24, weights=[0, 1, 0])
+@example(k=40, weights=[0, 0, 1])
+@example(k=36, weights=[0, -7, 3])
+def test_jenkins_rouse_bounds_cusp_forms_of_dimension_two_and_three(k, weights):
+    # S_k (dim 2 for k = 24, 28; 3 for 36, 40) is spanned by rows 1.. of the weight
+    # rule; the bound reads the first dim S_k coefficients of any integer combination
+    keys = mf._weight_rows(k)[1:]
+    weights = weights[: len(keys)]
+    assume(any(weights))
+    rows = [mf._monomial(*key, 201) for key in keys]
+    form = [sum(x * row[m] for x, row in zip(weights, rows)) for m in range(201)]
+    bound = mf.cusp_coeff_bound(k, form[1 : len(keys) + 1])
+    for m in range(1, 201):
+        assert abs(float(form[m])) <= bound.eval(m), m
 
 
 def test_cusp_coeff_bound_dominates_tau():
@@ -306,6 +337,13 @@ def test_incomplete_gamma_exact_points():
         mf.incomplete_gamma(0, 1.0)
     with pytest.raises(ValueError):
         mf.incomplete_gamma(2, -1.0)
+    # Gamma(s, inf) = 0 gets the floor every x past about 700 returns; NaN is no x >= 0
+    floor = math.exp(mf._LOG_FLOOR) * mf._UP
+    assert mf.incomplete_gamma(4, math.inf) == floor == mf.incomplete_gamma(4, 800.0)
+    with pytest.raises(ValueError, match="x >= 0"):
+        mf.incomplete_gamma(4, math.nan)
+    tail = mf.tail_bound(17, 3, 1e307)  # 2 alpha j overflows to inf
+    assert math.isfinite(tail) and tail > 0
 
 
 def test_incomplete_gamma_recurrence():

@@ -558,7 +558,7 @@ def test_dimension_32_certificate_at_pi_says_why():
 
 def test_gradient_form_is_delta_e6():
     form = modforms.discriminant(40) * modforms.eisenstein(6, 40)
-    assert list(morse._delta_e6()) == list(form.coeffs[:17])
+    assert list(morse._DELTA_E6) == list(form.coeffs[:17])
 
 
 def test_certificate_encloses_high_precision_pairing():

@@ -17,6 +17,12 @@ imports ``latmorse`` from TREE/src and walks one record per:
 * stdout, stderr and exit status of the README's CLI commands;
 * the exact constants ``bernoulli(k)`` for k = 0..60 and
   ``eisenstein_first_coeff(k)`` for k = 4, 6, ..., 16;
+* the terms of the certified coefficient bounds, compared exactly:
+  ``eisenstein_coeff_bound(n)`` for n = 8, 16, 24 and 32, every catalog
+  entry's ``coeff_bound()`` and ``cusp_coeff_bound(k, (1,))`` for k = 12, 16,
+  18 and 20.  A radius that shrinks is never flagged, and at alpha' >= pi
+  the tail part is at most 1e-9 of a radius, so only these records catch a
+  smaller, wrong bound;
 * every catalog entry's ``series_floats`` theta and cusp rows at lengths
   9, 17, 64 and 129.
 
@@ -30,7 +36,7 @@ there is one.  Beyond rounding means:
   sign, lambda, multiplicity, exception class or first word, exact terms,
   certificate constant names, CLI exit status, the first word of stderr, or
   the text of stdout around its numbers;
-* any change in an exact constant or a float coefficient row;
+* any change in an exact constant, a bound's terms or a float coefficient row;
 * a mu or isotropic partial sum outside the old one's interval (value plus
   or minus radius, or tail);
 * a radius, isotropic tail or certificate remainder that grows, or a root
@@ -148,6 +154,13 @@ def records():
         yield ("constant", "bernoulli", k, str(modforms.bernoulli(k)))
     for k in range(4, 17, 2):
         yield ("constant", "eisenstein_first_coeff", k, str(modforms.eisenstein_first_coeff(k)))
+    for n in (8, 16, 24, 32):
+        terms = modforms.eisenstein_coeff_bound(n).terms
+        yield ("constant", "eisenstein_coeff_bound", n, repr(terms))
+    for entry in entries:
+        yield ("constant", "coeff_bound", entry.name, repr(entry.coeff_bound().terms))
+    for k in (12, 16, 18, 20):
+        yield ("constant", "cusp_coeff_bound", k, repr(modforms.cusp_coeff_bound(k, (1,)).terms))
     for entry in entries:
         for length in ROW_LENGTHS:
             rows = tuple(tuple(row.tolist()) for row in entry.series_floats(length))
