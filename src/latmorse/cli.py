@@ -63,9 +63,6 @@ def _resolve_entry(args) -> latcat.LatticeEntry:
         entry = None
     if entry is None or args.dim not in (None, entry.dimension):
         entry = latcat.make_entry(args.lattice, args.dim)
-    if args.root_count not in (None, entry.root_count):
-        raise ValueError(f"root count {args.root_count} contradicts {entry.name}, "
-                         f"which has {entry.root_count} roots")
     return entry
 
 
@@ -177,7 +174,7 @@ def cmd_analyze(args) -> int:
 def cmd_table24(args) -> int:
     alpha = args.alpha
     entries = [
-        e for e in latcat.list_catalog() if e.dimension == 24 and e.root_count > 0
+        e for e in latcat.list_catalog() if e.dimension == 24 and e.root_system.count > 0
     ]
     reports = [morse.hessian_spectrum(e, alpha, tol=args.tol) for e in entries]
     digits = args.paper_digits if args.paper_digits is not None else 4
@@ -189,7 +186,7 @@ def cmd_table24(args) -> int:
         for line in report.lines:
             rows.append([
                 entry.name,
-                str(entry.root_count),
+                str(entry.root_system.count),
                 str(entry.coxeter_number),
                 str(line.q_eigenvalue),
                 str(line.multiplicity),
@@ -267,12 +264,11 @@ def cmd_sweep(args) -> int:
     text = "\n".join(lines) + "\n"
     if args.out:
         try:
-            handle = open(args.out, "w")
+            with open(args.out, "w") as handle:
+                handle.write(text)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
             return 2
-        with handle:
-            handle.write(text)
         print(f"wrote {len(lines) - 1} rows to {args.out}")
     else:
         sys.stdout.write(text)
@@ -288,8 +284,8 @@ def cmd_catalog(args) -> int:
         [
             e.name,
             str(e.dimension),
-            e.root_system.name if e.root_count else "(none)",
-            str(e.root_count),
+            e.root_system.name if e.root_system.count else "(none)",
+            str(e.root_system.count),
             str(e.coxeter_number) if e.coxeter_number is not None else "-",
         ]
         for e in entries
@@ -360,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("lattice", help="catalog name or root-system string")
             p.add_argument("--dim", type=int, default=None,
                            help="lattice dimension; required for non-catalog root systems")
-            p.add_argument("--root-count", type=int, default=None,
-                           help="root count of the entry (must match it)")
 
     p = sub.add_parser("analyze", help="criticality, spectrum, classification")
     common(p, lattice_arg=True)

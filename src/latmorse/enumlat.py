@@ -20,7 +20,7 @@ m <= 6, enough to cross-check E8 and D16+ against their theta series.
 
 from __future__ import annotations
 
-from . import modforms
+from . import modforms, symspace
 
 MAX_DIM = 16
 MAX_SHELL = 6
@@ -181,14 +181,7 @@ def hessian_direct(gram, alpha: float, h, m_max: int, basis=None) -> float:
 
     g = _checked_even(gram, m_max)
     modforms._check_alpha(alpha)
-    n = g.shape[0]
-    h = np.asarray(h, dtype=float)
-    if h.shape != (n, n):
-        raise ValueError("Hessian direction has the wrong shape")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("Hessian direction must be finite")
-    if abs(float(np.trace(h))) > 1e-12 * max(1.0, float(np.abs(h).max())):
-        raise ValueError("Hessian direction must be traceless")
+    h = symspace._direction(h, g.shape[0])
     if basis is None:
         basis = _cholesky_upper(g).T  # x = R v written as rows: v @ R^T
     else:

@@ -172,15 +172,13 @@ def get(name: str) -> LatticeEntry:
     )
 
 
-def make_entry(
-    root_string: str, dimension: int | None = None, root_count: int | None = None
-) -> LatticeEntry:
+def make_entry(root_string: str, dimension: int | None = None) -> LatticeEntry:
     """Entry for a root system outside the catalog (dimension may exceed rank).
 
     Used to analyze hypothetical even unimodular lattices given their root
     shell.  The theta series is pinned by (dimension, root count); no Gram
-    matrix is attached.  The root shell is the root system, so a
-    ``root_count`` other than the system's own count is a ValueError.
+    matrix is attached.  The root shell is the root system, so the root count
+    is the system's own.
     """
     system = parse_root_system(root_string)
     n = dimension if dimension is not None else system.total_rank
@@ -188,10 +186,6 @@ def make_entry(
         raise ValueError(f"even unimodular dimension must be 8/16/24/32, got {n}")
     if system.total_rank > n:
         raise ValueError("root system rank exceeds the lattice dimension")
-    if root_count is not None and root_count != system.count:
-        raise ValueError(
-            f"root count {root_count} contradicts {system.name}, which has {system.count} roots"
-        )
     name = system.name if n == system.total_rank else f"{system.name} (dim {n})"
     return _entry(name, n, system)
 

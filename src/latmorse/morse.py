@@ -329,19 +329,8 @@ def noncritical_certificate(entry: LatticeEntry, alpha: float, direction=None) -
         direction = crit
         root_pairing = crit.witness_pairing
     else:
-        import numpy as np
-
-        direction = np.asarray(direction, dtype=float)
-        if not np.isfinite(direction).all():  # every comparison below is False for NaN
-            raise ValueError("direction must be finite")
-        if direction.shape != (entry.dimension,) * 2:
-            raise ValueError("direction has the wrong shape")
-        largest = max(1.0, float(np.abs(direction).max()))
-        if abs(float(np.trace(direction))) > 1e-12 * largest:
-            raise ValueError("direction must be traceless")
-        if float(np.abs(direction - direction.T).max()) > 1e-12 * largest:
-            raise ValueError("direction must be symmetric")
-        diagonal = iter(map(Fraction, np.diagonal(direction).tolist()))
+        direction = symspace._direction(direction, entry.dimension)
+        diagonal = iter(map(Fraction, direction.diagonal().tolist()))
         traces = [sum(itertools.islice(diagonal, size)) for size, _ in crit.blocks]
         # <H - (tr H / n) I, S_1>, exact: S_1 - target I is defect * identity on each block
         root_pairing = abs(float(sum(d * t for d, t in zip(crit.defects, traces))))

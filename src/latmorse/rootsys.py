@@ -85,19 +85,18 @@ def _doubled_roots(kind: str, rank: int) -> np.ndarray:
     raise InvalidRank(f"no irreducible system {kind}{rank}")
 
 
-def _gram_schmidt(columns: np.ndarray) -> np.ndarray:
-    """Orthonormalize the columns (classical two-pass, deterministic)."""
+def _zero_sum_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of the zero-sum hyperplane of R^n, n x (n - 1).
+
+    Column k is (e_1 + ... + e_k - k e_(k+1)) / sqrt(k(k+1)), the Helmert
+    basis: what Gram-Schmidt makes of the chain e_k - e_(k+1), in closed form.
+    """
     import numpy as np
 
-    q = columns.astype(float).copy()
-    for i in range(q.shape[1]):
-        for _ in range(2):
-            for j in range(i):
-                q[:, i] -= (q[:, j] @ q[:, i]) * q[:, j]
-        norm = float(np.linalg.norm(q[:, i]))
-        assert norm > 1e-9, "dependent frame seed"
-        q[:, i] /= norm
-    return q
+    k = np.arange(1, n)
+    basis = np.triu(np.ones((n, n - 1)))
+    basis[k, k - 1] = -k
+    return basis / np.sqrt(k * (k + 1.0))
 
 
 class IrreducibleRootSystem(Frozen):
@@ -138,19 +137,15 @@ class IrreducibleRootSystem(Frozen):
     def frame(self) -> np.ndarray:
         """Orthonormal basis of the span, ambient_dim x rank, deterministic.
 
-        A_n uses Gram-Schmidt on the chain e_i - e_(i+1); D and E8 are already
-        full dimensional.  E7 (E6) spans the hyperplane x7 = x8 (the subspace
-        x6 = x7 = x8) of E8's R^8: e_1, ..., e_(rank-1) plus the unit vector
-        along the tied coordinates.
+        A_n uses the zero-sum basis of R^(n+1) (``_zero_sum_basis``); D and E8
+        are already full dimensional.  E7 (E6) spans the hyperplane x7 = x8
+        (the subspace x6 = x7 = x8) of E8's R^8: e_1, ..., e_(rank-1) plus the
+        unit vector along the tied coordinates.
         """
         import numpy as np
 
         if self.kind == "A":
-            n, dim = self.rank, self.rank + 1
-            seeds = np.zeros((dim, n))
-            for i in range(n):
-                seeds[i, i], seeds[i + 1, i] = 1.0, -1.0
-            return _gram_schmidt(seeds)
+            return _zero_sum_basis(self.rank + 1)
         frame = np.eye(self.ambient_dim, self.rank)
         tied = self.ambient_dim - self.rank + 1
         frame[-tied:, -1] = 1.0 / math.sqrt(tied)

@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .rootsys import IrreducibleRootSystem, RootSystem, _gram_schmidt, direct_sum
+from .modforms import UnsupportedDimension
+from .rootsys import IrreducibleRootSystem, RootSystem, _zero_sum_basis, direct_sum
 
 CLUSTER_TOL = 1e-6
 
@@ -39,21 +40,28 @@ class NonTraceless(ValueError):
     pass
 
 
-class UnsupportedDimension(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # the quartic form
 # ---------------------------------------------------------------------------
 
 
-def _as_matrix(h, n: int) -> np.ndarray:
+def _direction(h, n: int) -> np.ndarray:
+    """H as a float n x n array, if it is a direction: finite, and symmetric and
+    traceless to 1e-12 max(1, max|H|).  Q and every oracle below are defined on
+    that space only, so anything else is a ValueError (NonTraceless for a trace).
+    """
     import numpy as np
 
     h = np.asarray(h, dtype=float)
     if h.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got shape {h.shape}")
+    if not np.isfinite(h).all():  # every comparison below is False for NaN
+        raise ValueError("direction must be finite")
+    tolerance = 1e-12 * max(1.0, float(np.abs(h).max()))
+    if abs(float(np.trace(h))) > tolerance:
+        raise NonTraceless("direction must be traceless")
+    if float(np.abs(h - h.T).max()) > tolerance:
+        raise ValueError("direction must be symmetric")
     return h
 
 
@@ -70,7 +78,7 @@ def quartic_values(system: RootSystem | IrreducibleRootSystem, h) -> np.ndarray:
     import numpy as np
 
     rows = system.frame_roots
-    h = _as_matrix(h, rows.shape[1])
+    h = _direction(h, rows.shape[1])
     return np.einsum("ri,ij,rj->r", rows, h, rows)
 
 
@@ -137,13 +145,13 @@ def closed_spectrum(system: RootSystem | IrreducibleRootSystem) -> QSpectrum:
 def _basis_values(points: np.ndarray) -> np.ndarray:
     """x^T B x over points x (rows) and the elements B (columns) of an orthonormal
     basis of T0^n: first (E_ij + E_ji)/sqrt(2) for i < j in lexicographic order,
-    then the n - 1 diagonal matrices from Gram-Schmidt on E_ii - E_(i+1,i+1)."""
+    then the n - 1 diagonal matrices whose diagonals are ``_zero_sum_basis(n)``."""
     import numpy as np
 
     n = points.shape[1]
     i, j = np.triu_indices(n, 1)
-    diagonals = _gram_schmidt(np.eye(n, n - 1) - np.eye(n, n - 1, k=-1))
-    return np.hstack([math.sqrt(2.0) * points[:, i] * points[:, j], points**2 @ diagonals])
+    return np.hstack([math.sqrt(2.0) * points[:, i] * points[:, j],
+                      points**2 @ _zero_sum_basis(n)])
 
 
 def quartic_gram(system: RootSystem | IrreducibleRootSystem) -> np.ndarray:
@@ -272,15 +280,12 @@ class HarmonicParts(namedtuple("HarmonicParts", "n h h_squared trace_sq p0")):
 
 
 def harmonic_components(h) -> HarmonicParts:
-    """Split H[x]^2 into harmonic layers; requires Tr H = 0 (tolerance 1e-12)."""
+    """Split H[x]^2 into harmonic layers; H must be a direction (``_direction``)."""
     import numpy as np
 
     h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("need a square matrix")
-    n = h.shape[0]
-    if abs(float(np.trace(h))) > 1e-12 * max(1.0, float(np.abs(h).max())):
-        raise NonTraceless("harmonic decomposition defined for traceless H")
+    n = h.shape[0] if h.ndim else 0
+    h = _direction(h, n)
     h2 = h @ h
     tr2 = float(np.trace(h2))
     p0 = 2.0 * tr2 / ((2.0 + n) * n)
@@ -298,7 +303,9 @@ def shell_quartic_sum(lattice, h, m: int) -> float:
     The degree-4 harmonic part of the theta series is c times the normalized
     cusp form, with c pinned by the root shell:
     c = Q[H] - (8 / ((2+n) n)) |L(2)| Tr H^2.  The shell sum is then
-    c b_m + 4 m^2 (2 / ((2+n) n)) a_m Tr H^2.  Dimension 8 has no cusp form.
+    c b_m + 4 m^2 (2 / ((2+n) n)) a_m Tr H^2.  This holds for a direction H
+    (``_direction``) only: a trace adds terms t |x|^2 H[x] and t^2 |x|^4 to
+    H[x]^2 that it does not carry.  Dimension 8 has no cusp form.
     """
     import numpy as np
 
@@ -307,7 +314,7 @@ def shell_quartic_sum(lattice, h, m: int) -> float:
         raise UnsupportedDimension("no cusp form in dimension 8")
     if m < 1:
         raise ValueError("shell index m >= 1")
-    h = _as_matrix(h, n)
+    h = _direction(h, n)
     tr2 = float(np.trace(h @ h))
     q = quartic_form(lattice.root_system, h) if lattice.root_count else 0.0
     c = q - 8.0 / ((2.0 + n) * n) * lattice.root_count * tr2

@@ -116,6 +116,9 @@ def test_hessian_direct_guards():
         enumlat.hessian_direct(SCALED_Z2, 1.0, np.diag([1.0, 0.0, -1.0]), 2)
     with pytest.raises(ValueError):
         enumlat.hessian_direct(SCALED_Z2, 1.0, np.diag([1.0, -1.0]), 2, basis=np.eye(2))
+    # traceless, not symmetric: |Hx|^2 is H^2[x] only for a symmetric H
+    with pytest.raises(ValueError, match="direction must be symmetric"):
+        enumlat.hessian_direct(SCALED_Z2, 1.0, [[0.0, 1.0], [0.0, 0.0]], 2)
 
 
 def test_odd_gram_rejected_before_walk():

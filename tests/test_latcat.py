@@ -240,14 +240,9 @@ def test_make_entry():
     assert full.dimension == 32
     assert full.theta.coefficient(2) == latcat.get("A1^8+A3^8").theta.coefficient(2)
 
-    padded = latcat.make_entry("A1", 32, 2)
+    padded = latcat.make_entry("A1", 32)
     assert padded.name == "A1 (dim 32)"
     assert padded.root_count == 2
-
-    assert latcat.make_entry("A1", 32).theta.coeffs == padded.theta.coeffs
-    for wrong in (7, -5, 0):
-        with pytest.raises(ValueError, match="root count"):
-            latcat.make_entry("A1", 24, wrong)
     with pytest.raises(ValueError):
         latcat.make_entry("A5", 12)
     with pytest.raises(ValueError):

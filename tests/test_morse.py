@@ -736,6 +736,9 @@ def test_deformation_factor():
     gram = np.array([[2, 1], [1, 2]], dtype=np.int64)
     check = morse.deformation_check(gram, 1.5, np.diag([1.0, -1.0]), m_max=6)
     assert check.agree
+    # eigh reads one triangle only, so a non-symmetric H has no path to deform along
+    with pytest.raises(ValueError, match="direction must be symmetric"):
+        morse.deformation_check(2 * np.eye(2, dtype=np.int64), 1.0, [[0.0, 1.0], [0.0, 0.0]])
 
 
 def test_classification_spread_at_pi():

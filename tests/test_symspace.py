@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from latmorse import enumlat, latcat, rootsys, symspace
+from latmorse import enumlat, latcat, modforms, rootsys, symspace
 
 
 def _random_traceless(rng, n: int) -> np.ndarray:
@@ -14,18 +14,34 @@ def _random_traceless(rng, n: int) -> np.ndarray:
     return h - np.trace(h) / n * np.eye(n)
 
 
+def _qr_zero_sum(n: int) -> np.ndarray:
+    """Orthonormalized chain e_k - e_(k+1) by numpy's QR, column signs fixed so
+    that the first row is positive, as Gram-Schmidt leaves it."""
+    q, _ = np.linalg.qr(np.eye(n, n - 1) - np.eye(n, n - 1, k=-1))
+    return q * np.sign(q[0])
+
+
 def _full_basis(n: int) -> np.ndarray:
     """The (d, n, n) basis of T0^n that ``_basis_values`` evaluates, built whole:
-    (E_ij + E_ji)/sqrt(2) for i < j, then Gram-Schmidt on E_ii - E_(i+1,i+1)."""
+    (E_ij + E_ji)/sqrt(2) for i < j, then the orthonormalized E_ii - E_(i+1,i+1)."""
     mats = []
     for i in range(n):
         for j in range(i + 1, n):
             m = np.zeros((n, n))
             m[i, j] = m[j, i] = 1.0 / np.sqrt(2.0)
             mats.append(m)
-    diag = rootsys._gram_schmidt(np.eye(n, n - 1) - np.eye(n, n - 1, k=-1))
-    mats.extend(np.diag(column) for column in diag.T)
+    mats.extend(np.diag(column) for column in _qr_zero_sum(n).T)
     return np.stack(mats)
+
+
+def test_zero_sum_basis_is_the_orthonormalized_chain():
+    for n in range(2, 34):
+        basis = rootsys._zero_sum_basis(n)
+        assert basis.shape == (n, n - 1)
+        assert np.max(np.abs(basis.T @ basis - np.eye(n - 1))) < 1e-15
+        assert np.max(np.abs(basis.sum(axis=0))) < 1e-15
+        assert np.max(np.abs(basis - _qr_zero_sum(n))) < 1e-15
+    assert rootsys._zero_sum_basis(1).shape == (1, 0)
 
 
 def test_basis_values_match_orthonormal_basis():
@@ -141,6 +157,12 @@ def test_harmonic_p4_averages_to_zero_on_designs():
 def test_harmonic_traceless_guard():
     with pytest.raises(symspace.NonTraceless):
         symspace.harmonic_components(np.eye(3))
+    # traceless but not symmetric: H[x] reads only its symmetric part, and p0
+    # from H alone would be 0 where that part gives 1/8
+    with pytest.raises(ValueError, match="direction must be symmetric"):
+        symspace.harmonic_components([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError):
+        symspace.harmonic_components(np.ones(3))
 
 
 def test_shell_quartic_sum_matches_enumeration():
@@ -159,8 +181,13 @@ def test_shell_quartic_sum_matches_enumeration():
 
 
 def test_shell_quartic_sum_guards():
-    with pytest.raises(symspace.UnsupportedDimension):
+    assert symspace.UnsupportedDimension is modforms.UnsupportedDimension
+    with pytest.raises(modforms.UnsupportedDimension):
         symspace.shell_quartic_sum(latcat.get("E8"), np.diag([1.0, -1.0] * 4), 1)
+    # the formula holds on traceless H only: I_16 would give 69120 for the
+    # norm-4 shell of D16+, where enumeration gives 990720
+    with pytest.raises(symspace.NonTraceless):
+        symspace.shell_quartic_sum(latcat.get("D16+"), np.eye(16), 2)
     with pytest.raises(ValueError):
         symspace.shell_quartic_sum(latcat.get("D16+"), np.diag([1.0, -1.0] * 8), 0)
 

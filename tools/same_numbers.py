@@ -24,7 +24,12 @@ imports ``latmorse`` from TREE/src and walks one record per:
   the tail part is at most 1e-9 of a radius, so only these records catch a
   smaller, wrong bound;
 * every catalog entry's ``series_floats`` theta and cusp rows at lengths
-  9, 17, 64 and 129.
+  9, 17, 64 and 129;
+* the oracles' numbers: ``numeric_spectrum`` of every catalog root system of
+  full rank, ``design_check(frame_roots, 4).passed`` for A3, A5, D4, E6, E7
+  and E8, and along criterion 06's direction of D16+ its ``quartic_form``
+  and ``hessian_direct`` through m = 2 at alpha = pi, and the
+  ``deformation_check`` ratio of 2 I_2 along diag(1, -1) at alpha = 1.
 
 With one tree it prints one SHA-256 over the records: two trees that print
 the same hash print the same numbers.  With two it walks the records of each
@@ -37,14 +42,15 @@ there is one.  Beyond rounding means:
   certificate constant names, CLI exit status, the first word of stderr, or
   the text of stdout around its numbers;
 * any change in an exact constant, a bound's terms or a float coefficient row;
+* any change in an oracle's multiplicity or pass flag;
 * a mu or isotropic partial sum outside the old one's interval (value plus
   or minus radius, or tail);
 * a radius, isotropic tail or certificate remainder that grows, or a root
   term that falls, by more than 1e-15 relative;
 * a float with no radius of its own (a ``spectrum_partial`` value, a
-  certificate constant, a number in CLI stdout) that moves by more than
-  1e-9 relative: ``spectrum_partial(E8, 0.7, 24, 16)`` moves 2.2e-12 under
-  a change of summation order, through cancellation.
+  certificate constant, an oracle's number, a number in CLI stdout) that
+  moves by more than 1e-9 relative: ``spectrum_partial(E8, 0.7, 24, 16)``
+  moves 2.2e-12 under a change of summation order, through cancellation.
 
 A spectrum's margin is not compared: it follows from its lines.  Takes a
 few seconds per tree; it is a tool, not a test, and pytest does not collect
@@ -114,7 +120,7 @@ def records():
     """Yield one printable record per number hashed."""
     import numpy as np
 
-    from latmorse import cli, latcat, modforms, morse
+    from latmorse import cli, enumlat, latcat, modforms, morse, rootsys, symspace
 
     entries = latcat.list_catalog()
     critical = [e for e in entries if morse.criticality(e).is_critical]
@@ -165,6 +171,29 @@ def records():
         for length in ROW_LENGTHS:
             rows = tuple(tuple(row.tolist()) for row in entry.series_floats(length))
             yield ("rows", entry.name, length, rows)
+
+    # oracle numbers: floats as repr strings, multiplicities and flags as they are
+    for entry in entries:
+        if entry.root_count and entry.root_system.total_rank == entry.dimension:
+            spectrum = _attempt(lambda s: tuple(x for value, mult in s.entries
+                                                for x in (repr(value), mult)),
+                                symspace.numeric_spectrum, entry.root_system)
+            yield ("oracle", "numeric_spectrum", entry.name, spectrum)
+    for kind, rank in (("A", 3), ("A", 5), ("D", 4), ("E", 6), ("E", 7), ("E", 8)):
+        roots = rootsys.make_irreducible(kind, rank).frame_roots
+        passed = _attempt(lambda c: (c.passed,), symspace.design_check, roots, 4)
+        yield ("oracle", "design_check", f"{kind}{rank}", passed)
+    d16 = latcat.get("D16+")
+    h = np.diag([15.0] + [-1.0] * 15)
+    h /= np.sqrt(np.trace(h @ h))
+    value = _attempt(lambda q: (repr(q),), symspace.quartic_form, d16.root_system, h)
+    yield ("oracle", "quartic_form", d16.name, value)
+    value = _attempt(lambda v: (repr(v),), enumlat.hessian_direct,
+                     d16.gram, math.pi, h, 2, d16.basis)
+    yield ("oracle", "hessian_direct", d16.name, value)
+    check = _attempt(lambda c: (repr(c.measured_ratio),), morse.deformation_check,
+                     2 * np.eye(2, dtype=np.int64), 1.0, np.diag([1.0, -1.0]))
+    yield ("oracle", "deformation_check", "2 I_2", check)
 
 
 def _raised(result) -> bool:
@@ -245,6 +274,12 @@ def drift(old: tuple, new: tuple) -> str:
         return "partial moved" if _moved(result, new_result) else ""
     if kind in ("constant", "rows"):
         return "" if result == new_result else "value"
+    if kind == "oracle":
+        if len(result) != len(new_result) or any(
+                not isinstance(a, str) and a != b for a, b in zip(result, new_result)):
+            return "multiplicity or pass flag"
+        return "value moved" if any(_moved(a, b) for a, b in zip(result, new_result)
+                                    if isinstance(a, str)) else ""
     return _cli_drift(result, new_result)
 
 
