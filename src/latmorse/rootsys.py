@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections import namedtuple
 from functools import cached_property, lru_cache
 
 from .records import Frozen
@@ -26,19 +25,6 @@ from .records import Frozen
 
 class InvalidRank(ValueError):
     """Rank outside the family's defined range."""
-
-
-class RootSystemProperties(namedtuple(
-        "RootSystemProperties", "count coxeter_number orthogonal_count unit_pair_count weyl_order")):
-    """Closed-form invariants of an irreducible system.
-
-    ``orthogonal_count`` is the number of roots orthogonal to a fixed root,
-    ``unit_pair_count`` the number at inner product exactly +1.  Together with
-    the two roots at +-2 these exhaust the shell:
-    count = 2 + orthogonal_count + 2 * unit_pair_count.
-    """
-
-    __slots__ = ()
 
 
 def _sorted_rows(rows: list[tuple[int, ...]]) -> np.ndarray:
@@ -167,18 +153,6 @@ def make_irreducible(kind: str, rank: int) -> IrreducibleRootSystem:
             or (kind == "E" and rank in (6, 7, 8))):
         raise InvalidRank(f"no irreducible system {kind}{rank}")
     return IrreducibleRootSystem(kind, rank)
-
-
-def properties(system: IrreducibleRootSystem) -> RootSystemProperties:
-    """Closed-form shell invariants, none of them read off the roots."""
-    k, n = system.kind, system.rank
-    if k == "A":
-        n0, n1, weyl = (n - 1) * (n - 2), 2 * (n - 1), math.factorial(n + 1)
-    elif k == "D":
-        n0, n1, weyl = 2 * (n * n - 5 * n + 7), 4 * (n - 2), 2 ** (n - 1) * math.factorial(n)
-    else:
-        n0, n1, weyl = {6: (30, 20, 51840), 7: (60, 32, 2903040), 8: (126, 56, 696729600)}[n]
-    return RootSystemProperties(system.count, system.coxeter_number, n0, n1, weyl)
 
 
 # ---------------------------------------------------------------------------

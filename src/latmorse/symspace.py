@@ -6,9 +6,8 @@ For a root system R in R^n the form
 
 is the second-order data of Gaussian lattice energy at a critical point.  This
 module evaluates Q, diagonalizes it on the traceless space T0 (closed form for
-ADE sums with equal Coxeter number, dense numerics otherwise), and provides
-the spherical design checks and degree-4 harmonic decomposition behind those
-formulas.
+ADE sums with equal Coxeter number, dense numerics otherwise), and checks
+the spherical design identities behind the closed forms.
 
 Conventions: matrices act in the root system's orthonormal frame coordinates;
 <A, B> = Tr(AB); H[x] = x^T H x.
@@ -19,7 +18,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .modforms import UnsupportedDimension
 from .rootsys import IrreducibleRootSystem, RootSystem, _zero_sum_basis, direct_sum
 
 CLUSTER_TOL = 1e-6
@@ -66,20 +64,19 @@ def _direction(h, n: int) -> np.ndarray:
 
 
 def quartic_form(system: RootSystem | IrreducibleRootSystem, h) -> float:
-    """Q[H] = sum over roots of (x^T H x)^2, H in frame coordinates."""
-    if system.frame_roots.shape[0] == 0:
-        return 0.0
-    vals = quartic_values(system, h)
-    return float(vals @ vals)
+    """Q[H] = sum over roots of (x^T H x)^2, H a direction in frame coordinates.
 
-
-def quartic_values(system: RootSystem | IrreducibleRootSystem, h) -> np.ndarray:
-    """The values x^T H x over the shell (one per root)."""
+    A rootless system fixes no n, so there H is checked against its own shape
+    before Q is read as the empty sum 0.
+    """
     import numpy as np
 
     rows = system.frame_roots
-    h = _direction(h, rows.shape[1])
-    return np.einsum("ri,ij,rj->r", rows, h, rows)
+    if not len(rows):
+        _direction(h, (np.shape(h) or (0,))[0])
+        return 0.0
+    values = np.einsum("ri,ij,rj->r", rows, _direction(h, rows.shape[1]), rows)
+    return float(values @ values)
 
 
 class QSpectrum(namedtuple("QSpectrum", "space_dim entries")):
@@ -199,10 +196,12 @@ DesignCheck = namedtuple("DesignCheck", "strength radius_sq residual passed")
 def design_check(points, t: int) -> DesignCheck:
     """Test whether a centrally symmetric shell is a spherical t-design.
 
-    t = 2: max-entry residual of sum x x^T = (r^2 |X| / n) I, pass at 1e-10.
+    t = 2: max-entry residual of sum x x^T = (r^2 |X| / n) I, divided by
+    r^2 |X| / n, pass at 1e-10.
     t = 4: additionally the polarized quartic identity
     sum_x H[x] G[x] = (2 r^4 |X| / (n (n+2))) <H, G> over the ``_basis_values`` basis,
-    measured as a relative Gram residual, pass at 1e-8.
+    its Gram residual divided by that scale, pass at 1e-8.
+    Both residuals are relative, so the verdict does not depend on the radius.
     """
     import numpy as np
 
@@ -214,11 +213,10 @@ def design_check(points, t: int) -> DesignCheck:
     k, n = pts.shape
     norms = np.einsum("ij,ij->i", pts, pts)
     r2 = float(np.mean(norms))
-    if np.max(np.abs(norms - r2)) > 1e-9 * max(1.0, r2):
-        raise OffSphere("points do not share a common norm")
-    moment = pts.T @ pts
-    target = r2 * k / n * np.eye(n)
-    resid2 = float(np.max(np.abs(moment - target)))
+    if r2 <= 0.0 or np.max(np.abs(norms - r2)) > 1e-9 * max(1.0, r2):
+        raise OffSphere("points do not share a common positive norm")
+    scale2 = r2 * k / n
+    resid2 = float(np.max(np.abs(pts.T @ pts - scale2 * np.eye(n)))) / scale2
     if t == 2:
         return DesignCheck(2, r2, resid2, resid2 <= 1e-10)
     if n < 2:
@@ -227,97 +225,7 @@ def design_check(points, t: int) -> DesignCheck:
         return DesignCheck(4, r2, resid2, resid2 <= 1e-10)
     values = _basis_values(pts)
     gram = values.T @ values
-    scale = 2.0 * r2 * r2 * k / (n * (n + 2))
-    resid4 = float(np.max(np.abs(gram - scale * np.eye(len(gram))))) / scale
+    scale4 = 2.0 * r2 * r2 * k / (n * (n + 2))
+    resid4 = float(np.max(np.abs(gram - scale4 * np.eye(len(gram))))) / scale4
     passed = resid2 <= 1e-10 and resid4 <= 1e-8
     return DesignCheck(4, r2, max(resid4, resid2), passed)
-
-
-# ---------------------------------------------------------------------------
-# degree-4 harmonic decomposition
-# ---------------------------------------------------------------------------
-
-
-class HarmonicParts(namedtuple("HarmonicParts", "n h h_squared trace_sq p0")):
-    """Decomposition H[x]^2 = p4(x) + |x|^2 p2(x) + |x|^4 p0 with p4, p2 harmonic."""
-
-    __slots__ = ()
-
-    def quartic(self, x) -> float:
-        import numpy as np
-
-        x = np.asarray(x, dtype=float)
-        return float(x @ self.h @ x) ** 2
-
-    def p2(self, x) -> float:
-        import numpy as np
-
-        x = np.asarray(x, dtype=float)
-        n = self.n
-        hx2 = float(x @ self.h_squared @ x)
-        return (8.0 * hx2 - (8.0 / n) * self.trace_sq * float(x @ x)) / (8.0 + 2.0 * n)
-
-    def p4(self, x) -> float:
-        import numpy as np
-
-        x = np.asarray(x, dtype=float)
-        n = self.n
-        norm2 = float(x @ x)
-        hx = float(x @ self.h @ x)
-        hx2 = float(x @ self.h_squared @ x)
-        return (
-            hx * hx
-            - norm2 * (4.0 / (4.0 + n)) * hx2
-            + norm2 * norm2 * (2.0 / ((4.0 + n) * (2.0 + n))) * self.trace_sq
-        )
-
-    def reconstruct(self, x) -> float:
-        import numpy as np
-
-        x = np.asarray(x, dtype=float)
-        norm2 = float(x @ x)
-        return self.p4(x) + norm2 * self.p2(x) + norm2 * norm2 * self.p0
-
-
-def harmonic_components(h) -> HarmonicParts:
-    """Split H[x]^2 into harmonic layers; H must be a direction (``_direction``)."""
-    import numpy as np
-
-    h = np.asarray(h, dtype=float)
-    n = h.shape[0] if h.ndim else 0
-    h = _direction(h, n)
-    h2 = h @ h
-    tr2 = float(np.trace(h2))
-    p0 = 2.0 * tr2 / ((2.0 + n) * n)
-    return HarmonicParts(n=n, h=h, h_squared=h2, trace_sq=tr2, p0=p0)
-
-
-# ---------------------------------------------------------------------------
-# shell quartic sums from modular data
-# ---------------------------------------------------------------------------
-
-
-def shell_quartic_sum(lattice, h, m: int) -> float:
-    """sum over the norm-2m shell of H[x]^2, from the lattice's modular data.
-
-    The degree-4 harmonic part of the theta series is c times the normalized
-    cusp form, with c pinned by the root shell:
-    c = Q[H] - (8 / ((2+n) n)) |L(2)| Tr H^2.  The shell sum is then
-    c b_m + 4 m^2 (2 / ((2+n) n)) a_m Tr H^2.  This holds for a direction H
-    (``_direction``) only: a trace adds terms t |x|^2 H[x] and t^2 |x|^4 to
-    H[x]^2 that it does not carry.  Dimension 8 has no cusp form.
-    """
-    import numpy as np
-
-    n = lattice.dimension
-    if lattice.cusp is None:
-        raise UnsupportedDimension("no cusp form in dimension 8")
-    if m < 1:
-        raise ValueError("shell index m >= 1")
-    h = _direction(h, n)
-    tr2 = float(np.trace(h @ h))
-    q = quartic_form(lattice.root_system, h) if lattice.root_count else 0.0
-    c = q - 8.0 / ((2.0 + n) * n) * lattice.root_count * tr2
-    a_m = float(lattice.theta.coefficient(m))
-    b_m = float(lattice.cusp.coefficient(m))
-    return c * b_m + 4.0 * m * m * (2.0 / ((2.0 + n) * n)) * a_m * tr2

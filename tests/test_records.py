@@ -19,12 +19,7 @@ VALUE_RECORDS = {
     morse.DeformationCheck: (("measured_ratio", "expected_ratio", "agree"), (2.0, 2.0, True)),
     symspace.QSpectrum: (("space_dim", "entries"), (3, ((0.0, 1), (4.0, 2)))),
     symspace.DesignCheck: (("strength", "radius_sq", "residual", "passed"), (4, 2.0, 1e-15, True)),
-    symspace.HarmonicParts: (("n", "h", "h_squared", "trace_sq", "p0"),
-                             (2, ((1.0, 0.0), (0.0, -1.0)), ((1.0, 0.0), (0.0, 1.0)), 2.0, 0.25)),
     modforms.CoeffBound: (("terms",), (((2.5, 3), (1.0, 0)),)),
-    rootsys.RootSystemProperties: (
-        ("count", "coxeter_number", "orthogonal_count", "unit_pair_count", "weyl_order"),
-        (240, 30, 126, 56, 696729600)),
 }
 
 

@@ -18,20 +18,10 @@ KNOWN_COUNTS = {
     ("E", 8): 240,
 }
 
-KNOWN_WEYL = {
-    ("A", 4): 120,
-    ("D", 5): 1920,
-    ("E", 6): 51840,
-    ("E", 7): 2903040,
-    ("E", 8): 696729600,
-}
-
-
 def test_known_counts():
     for (kind, rank), count in KNOWN_COUNTS.items():
         system = rootsys.make_irreducible(kind, rank)
         assert system.count == count
-        assert rootsys.properties(system).count == count
 
 
 IRREDUCIBLES = ([("A", n) for n in range(1, 25)] + [("D", n) for n in range(4, 25)]
@@ -54,16 +44,11 @@ def test_catalog_build_enumerates_no_roots():
 
 def test_coxeter_numbers():
     for n in range(1, 6):
-        assert rootsys.properties(rootsys.make_irreducible("A", n)).coxeter_number == n + 1
+        assert rootsys.make_irreducible("A", n).coxeter_number == n + 1
     for n in range(4, 9):
-        assert rootsys.properties(rootsys.make_irreducible("D", n)).coxeter_number == 2 * n - 2
+        assert rootsys.make_irreducible("D", n).coxeter_number == 2 * n - 2
     for n, h in ((6, 12), (7, 18), (8, 30)):
-        assert rootsys.properties(rootsys.make_irreducible("E", n)).coxeter_number == h
-
-
-def test_weyl_orders():
-    for (kind, rank), order in KNOWN_WEYL.items():
-        assert rootsys.properties(rootsys.make_irreducible(kind, rank)).weyl_order == order
+        assert rootsys.make_irreducible("E", n).coxeter_number == h
 
 
 def test_doubled_root_norms():
@@ -74,21 +59,6 @@ def test_doubled_root_norms():
             np.einsum("ij,ij->i", doubled, doubled),
             np.full(doubled.shape[0], 8, dtype=np.int64),
         )
-
-
-def test_inner_product_partition():
-    # against a fixed root the shell splits as (+-8) x 1, (+-4) x n1, 0 x n0
-    for kind, rank in (("A", 5), ("D", 6), ("E", 7)):
-        system = rootsys.make_irreducible(kind, rank)
-        props = rootsys.properties(system)
-        doubled = system.doubled_roots
-        products = doubled @ doubled[0]
-        counts = {v: int(np.sum(products == v)) for v in (-8, -4, 0, 4, 8)}
-        assert counts[8] == 1 and counts[-8] == 1
-        assert counts[4] == props.unit_pair_count
-        assert counts[-4] == props.unit_pair_count
-        assert counts[0] == props.orthogonal_count
-        assert sum(counts.values()) == props.count
 
 
 def test_reflection_closure():
@@ -185,7 +155,7 @@ def test_moment_identity_random_rotation_stability():
     # must hold in any orthonormal frame of the span
     rng = np.random.default_rng(5)
     system = rootsys.make_irreducible("D", 5)
-    h = rootsys.properties(system).coxeter_number
+    h = system.coxeter_number
     q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
     rotated = system.frame_roots @ q
     moment = rotated.T @ rotated

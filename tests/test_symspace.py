@@ -1,11 +1,11 @@
-"""The quartic form Q on traceless matrices: spectra, designs, harmonics."""
+"""The quartic form Q on traceless matrices: spectra and designs."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from latmorse import enumlat, latcat, modforms, rootsys, symspace
+from latmorse import enumlat, latcat, rootsys, symspace
 
 
 def _random_traceless(rng, n: int) -> np.ndarray:
@@ -124,78 +124,49 @@ def test_design_checks():
 
     with pytest.raises(symspace.OffSphere):
         symspace.design_check(np.array([[1.0, 0.0], [2.0, 0.0]]), 2)
+    # the origin is on no sphere, and both residuals divide by the radius
+    with pytest.raises(symspace.OffSphere):
+        symspace.design_check(np.zeros((4, 3)), 4)
     with pytest.raises(symspace.EmptyInput):
         symspace.design_check(np.zeros((0, 3)), 2)
     with pytest.raises(ValueError):
         symspace.design_check(e8.frame_roots, 3)
 
 
-def test_harmonic_reconstruction():
-    rng = np.random.default_rng(9)
-    h = _random_traceless(rng, 5)
-    parts = symspace.harmonic_components(h)
-    for _ in range(10):
-        x = rng.normal(size=5)
-        expected = float(x @ h @ x) ** 2
-        assert parts.reconstruct(x) == pytest.approx(expected, rel=1e-10, abs=1e-12)
-        assert parts.quartic(x) == pytest.approx(expected, rel=1e-12)
+def test_design_check_is_relative():
+    # E8's norm-4 shell in a random orthonormal frame: inexact coordinates, and
+    # moment sums that grow as scale^2 and scale^4; a design at every scale
+    e8 = latcat.get("E8")
+    vectors, norms = enumlat.short_vectors(e8.gram, 4)
+    shell = vectors[norms == 4] @ e8.basis
+    assert shell.shape == (2160, 8)
+    q, _ = np.linalg.qr(np.random.default_rng(11).normal(size=(8, 8)))
+    for scale in (1.0, 100.0, 1e4):
+        points = scale * shell @ q
+        for t in (2, 4):
+            check = symspace.design_check(points, t)
+            assert check.passed, (scale, t, check.residual)
+            assert check.residual <= 1e-10
 
 
-def test_harmonic_p4_averages_to_zero_on_designs():
-    # degree-4 harmonics integrate to zero; a 4-design shell sees that exactly
-    rng = np.random.default_rng(3)
-    h = _random_traceless(rng, 8)
-    parts = symspace.harmonic_components(h)
-    e8 = rootsys.make_irreducible("E", 8)
-    total = sum(parts.p4(x) for x in e8.frame_roots)
-    assert abs(total) < 1e-10
-
-    p2_total = sum(parts.p2(x) for x in e8.frame_roots)
-    assert abs(p2_total) < 1e-10
-
-
-def test_harmonic_traceless_guard():
-    with pytest.raises(symspace.NonTraceless):
-        symspace.harmonic_components(np.eye(3))
-    # traceless but not symmetric: H[x] reads only its symmetric part, and p0
-    # from H alone would be 0 where that part gives 1/8
-    with pytest.raises(ValueError, match="direction must be symmetric"):
-        symspace.harmonic_components([[0.0, 1.0], [0.0, 0.0]])
+def test_quartic_form_direction_guard():
+    # a rootless shell fixes no n: H is checked against its own shape first
+    leech = latcat.get("Leech").root_system
+    assert leech.count == 0
     with pytest.raises(ValueError):
-        symspace.harmonic_components(np.ones(3))
-
-
-def test_shell_quartic_sum_matches_enumeration():
-    entry = latcat.get("D16+")
-    h = np.diag([15.0] + [-1.0] * 15)
-    h /= np.sqrt(np.trace(h @ h))
-    vectors, norms = enumlat.short_vectors(entry.gram, 4)
-    for m in (1, 2):
-        x = vectors[norms == 2 * m] @ entry.basis
-        direct = float(np.sum(np.einsum("ri,ij,rj->r", x, h, x) ** 2))
-        assert symspace.shell_quartic_sum(entry, h, m) == pytest.approx(direct, rel=1e-12)
-    # the root shell reproduces the quartic form itself
-    assert symspace.shell_quartic_sum(entry, h, 1) == pytest.approx(
-        symspace.quartic_form(entry.root_system, h), rel=1e-12
-    )
-
-
-def test_shell_quartic_sum_guards():
-    assert symspace.UnsupportedDimension is modforms.UnsupportedDimension
-    with pytest.raises(modforms.UnsupportedDimension):
-        symspace.shell_quartic_sum(latcat.get("E8"), np.diag([1.0, -1.0] * 4), 1)
-    # the formula holds on traceless H only: I_16 would give 69120 for the
-    # norm-4 shell of D16+, where enumeration gives 990720
+        symspace.quartic_form(leech, "junk")
     with pytest.raises(symspace.NonTraceless):
-        symspace.shell_quartic_sum(latcat.get("D16+"), np.eye(16), 2)
-    with pytest.raises(ValueError):
-        symspace.shell_quartic_sum(latcat.get("D16+"), np.diag([1.0, -1.0] * 8), 0)
-
-
-def test_quartic_values_shape():
+        symspace.quartic_form(leech, np.eye(5))
+    h = _random_traceless(np.random.default_rng(4), 24)
+    assert symspace.quartic_form(leech, h) == 0.0
+    # a rooted shell checks H against its own rank
     a3 = rootsys.make_irreducible("A", 3)
-    vals = symspace.quartic_values(a3, np.diag([1.0, 0.0, -1.0]))
-    assert vals.shape == (12,)
-    assert symspace.quartic_form(a3, np.diag([1.0, 0.0, -1.0])) == pytest.approx(
-        float(vals @ vals)
-    )
+    with pytest.raises(symspace.NonTraceless):
+        symspace.quartic_form(a3, np.eye(3))
+    # traceless but not symmetric: H[x] reads only its symmetric part
+    with pytest.raises(ValueError, match="direction must be symmetric"):
+        symspace.quartic_form(a3, [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError):
+        symspace.quartic_form(a3, np.ones(3))
+    with pytest.raises(ValueError, match="expected a 3x3 matrix"):
+        symspace.quartic_form(a3, h)
