@@ -29,14 +29,6 @@ _PRUNE_SLACK = 1e-6
 _CHUNK_ROWS = 120_000
 
 
-class NotPositiveDefinite(ValueError):
-    pass
-
-
-class BudgetExceeded(ValueError):
-    pass
-
-
 def _checked_gram(gram) -> np.ndarray:
     import numpy as np
 
@@ -58,7 +50,7 @@ def _cholesky_upper(gram_int: np.ndarray) -> np.ndarray:
     try:
         lower = np.linalg.cholesky(gram_int.astype(float))
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("Gram matrix is not positive definite") from exc
+        raise ValueError("Gram matrix is not positive definite") from exc
     return lower.T
 
 
@@ -98,7 +90,7 @@ def _enumerate(g: np.ndarray, bound: int, visit) -> None:
 
     n = g.shape[0]
     if n > MAX_DIM:
-        raise BudgetExceeded(f"enumeration limited to dimension {MAX_DIM}")
+        raise ValueError(f"enumeration limited to dimension {MAX_DIM}")
     r_upper = _cholesky_upper(g)
     fuzzy = float(bound) + _PRUNE_SLACK
 
@@ -147,7 +139,7 @@ def _checked_even(gram, m_max: int) -> np.ndarray:
     if m_max < 1:
         raise ValueError("m_max >= 1")
     if m_max > MAX_SHELL:
-        raise BudgetExceeded(f"shells limited to m <= {MAX_SHELL}")
+        raise ValueError(f"shells limited to m <= {MAX_SHELL}")
     g = _checked_gram(gram)
     # v^T G v = sum G_ii v_i^2 (mod 2), so every norm is even exactly when every G_ii is
     if np.any(np.diagonal(g) % 2):

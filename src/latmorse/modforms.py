@@ -20,9 +20,9 @@ q^c + O(q^(c+1)), so there are dim M_w rows and rows 1.. span S_w.
   S_(n/2+4) is a line (n = 16, 24, 32); Delta E6, row 1 of weight 18, pairs
   with the degree-2 harmonics in dimension 32.
 
-Coefficients are exact ints (Fractions only where a fractional root count
-leaves a combination non-integral); floats appear only in the certified-bound
-layer, where every constant is rounded upward.  That layer keeps splitting
+Coefficients are exact: ints in every row and theta series, Fractions in
+``eisenstein``.  Floats appear only in the certified-bound layer, where every
+constant is rounded upward.  That layer keeps splitting
 theta as E_(n/2) plus a cusp form, because the Jenkins-Rouse bound holds for
 cusp forms only, and the Eisenstein part has the closed coefficient
 (2k/|B_k|) sigma_(k-1)(m).  It provides three certified estimates:
@@ -54,26 +54,6 @@ _UP = 1.0 + 1e-9
 
 # exp() floor: an upper bound that underflows must stay positive
 _LOG_FLOOR = -700.0
-
-
-class InvalidWeight(ValueError):
-    """Eisenstein or cusp weight outside the supported even range."""
-
-
-class InconsistentRootCount(ValueError):
-    """Root count incompatible with the dimension's theta space."""
-
-
-class UnsupportedDimension(ValueError):
-    """Dimension without the required modular-form data."""
-
-
-class MonotonicityViolated(ValueError):
-    """tail_bound called left of the summand's maximum."""
-
-
-class TruncationInsufficient(ValueError):
-    """Series too short for the requested certified evaluation."""
 
 
 # ---------------------------------------------------------------------------
@@ -144,16 +124,12 @@ class QSeries(Frozen):
         if m < 0:
             raise ValueError(f"no coefficient of q^{m} in a q-expansion")
         if m >= len(self.coeffs):
-            raise TruncationInsufficient(
-                f"coefficient {m} beyond truncation order {len(self.coeffs)}"
-            )
+            raise ValueError(f"coefficient {m} beyond truncation order {len(self.coeffs)}")
         return self.coeffs[m]
 
     def __add__(self, other: "QSeries") -> "QSeries":
         if self.weight != other.weight:
-            raise InvalidWeight(
-                f"cannot add weights {self.weight} and {other.weight}"
-            )
+            raise ValueError(f"cannot add weights {self.weight} and {other.weight}")
         n = min(len(self.coeffs), len(other.coeffs))
         return QSeries(
             self.weight,
@@ -199,7 +175,7 @@ class QSeries(Frozen):
 def eisenstein(k: int, length: int = DEFAULT_LENGTH) -> QSeries:
     """Normalized Eisenstein series E_k = 1 - (2k/B_k) sum sigma_{k-1}(m) q^m."""
     if k < 4 or k % 2 != 0:
-        raise InvalidWeight(f"Eisenstein weight must be even and >= 4, got {k}")
+        raise ValueError(f"Eisenstein weight must be even and >= 4, got {k}")
     factor = Fraction(-2 * k) / bernoulli(k)
     table = _sigma_table(k - 1, length)
     coeffs = [Fraction(1)] + [factor * table[m] for m in range(1, length)]
@@ -238,15 +214,8 @@ def _monomial(a: int, b: int, c: int, length: int) -> tuple[int, ...]:
 def _eighth(n: int) -> int:
     """k = n / 8 for a dimension n that is a positive multiple of 8."""
     if n <= 0 or n % 8:
-        raise UnsupportedDimension(f"dimension must be a positive multiple of 8, got {n}")
+        raise ValueError(f"dimension must be a positive multiple of 8, got {n}")
     return n // 8
-
-
-def _combine(base, row, factor: Fraction) -> tuple:
-    """Coefficients of base + factor * row: ints where exact."""
-    p, q = factor.numerator, factor.denominator
-    nums = [b * q + p * r for b, r in zip(base, row)]
-    return tuple(c // q if c % q == 0 else Fraction(c, q) for c in nums)
 
 
 def discriminant(length: int = DEFAULT_LENGTH) -> QSeries:
@@ -267,21 +236,26 @@ def cusp_normalized(n: int, length: int = DEFAULT_LENGTH) -> QSeries:
     w = 4 * _eighth(n) + 4
     rows = _weight_rows(w)
     if len(rows) != 2:
-        raise UnsupportedDimension(f"S_{w} is not a line, so no cusp form is stored for n={n}")
+        raise ValueError(f"S_{w} is not a line, so no cusp form is stored for n={n}")
     return QSeries(w, _monomial(*rows[1], length))
 
 
-def theta_even_unimodular(n: int, root_count, length: int = DEFAULT_LENGTH) -> QSeries:
+def theta_even_unimodular(n: int, root_count: int, length: int = DEFAULT_LENGTH) -> QSeries:
     """Theta series of an even unimodular lattice of dimension n with
-    root_count roots, from the rows of weight n/2 (module docstring)."""
-    k = _eighth(n)
-    rows, cusp = _weight_rows(4 * k), Fraction(root_count) - 240 * k
+    root_count roots, a nonnegative integer, from the rows of weight n/2
+    (module docstring)."""
+    k, root_count = _eighth(n), operator.index(root_count)
+    if root_count < 0:
+        raise ValueError(f"root count must be nonnegative, got {root_count}")
+    rows, cusp = _weight_rows(4 * k), root_count - 240 * k
     if len(rows) > 2:
-        raise UnsupportedDimension(f"the root count does not fix theta in dimension {n}")
+        raise ValueError(f"the root count does not fix theta in dimension {n}")
     if len(rows) == 1 and cusp:
-        raise InconsistentRootCount(f"dimension {n} forces {240 * k} roots")
+        raise ValueError(f"dimension {n} forces {240 * k} roots")
     theta = _monomial(*rows[0], length)
-    return QSeries(4 * k, _combine(theta, _monomial(*rows[1], length), cusp) if cusp else theta)
+    if cusp:
+        theta = tuple(t + cusp * r for t, r in zip(theta, _monomial(*rows[1], length)))
+    return QSeries(4 * k, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +322,7 @@ def jenkins_rouse_constant(k: int, leading_coeffs) -> float:
     (module docstring).  Formula of Jenkins and Rouse, with upward rounding slack.
     """
     if k < 12 or k % 2 != 0:
-        raise InvalidWeight(f"cusp weight must be even and >= 12, got {k}")
+        raise ValueError(f"cusp weight must be even and >= 12, got {k}")
     coeffs = [float(c) for c in leading_coeffs]
     if len(coeffs) != len(_weight_rows(k)) - 1:
         raise ValueError(f"S_{k} needs exactly {len(_weight_rows(k)) - 1} leading coefficients")
@@ -413,16 +387,14 @@ def tail_bound(j: int, k: int, alpha: float) -> float:
     """Certified bound on sum_{m >= j} m^k e^(-2 alpha m).
 
     Valid once the summand is nonincreasing from j on, which requires
-    j >= k / (2 alpha); earlier j raises MonotonicityViolated.  The bound is
+    j >= k / (2 alpha); earlier j raises ValueError.  The bound is
     j^k e^(-2 alpha j) + (2 alpha)^(-(k+1)) Gamma(k+1, 2 alpha j).
     """
     if j < 1 or k < 0:
         raise ValueError("need j >= 1 and k >= 0")
     _check_alpha(alpha)
     if 2.0 * alpha * j < k:
-        raise MonotonicityViolated(
-            f"tail start j={j} below k/(2 alpha) = {k / (2 * alpha):.3f}"
-        )
+        raise ValueError(f"tail start j={j} below k/(2 alpha) = {k / (2 * alpha):.3f}")
     x = 2.0 * alpha * j
     first = math.exp(max(k * math.log(j) - x, _LOG_FLOOR))
     rest = incomplete_gamma(k + 1, x) * math.exp(
@@ -443,12 +415,10 @@ def theta_duality_residual(theta: QSeries, n: int, y: float) -> float:
     bound = theta_coeff_bound(n, theta.coeffs[1])
     for alpha_eff, scale in ((math.pi * y, 1.0), (math.pi / y, y ** (-n / 2.0))):
         if 2.0 * alpha_eff * length < max(e for _, e in bound.terms):
-            raise TruncationInsufficient("series too short for tail certification")
+            raise ValueError("series too short for tail certification")
         tail = bound.series_tail(length, alpha_eff) * scale
         if tail > 1e-12:
-            raise TruncationInsufficient(
-                f"certified tail {tail:.3e} exceeds 1e-12 at y={y}"
-            )
+            raise ValueError(f"certified tail {tail:.3e} exceeds 1e-12 at y={y}")
     floats = theta.floats()
     lhs = _theta_value(floats, math.pi * y)
     rhs = y ** (-n / 2.0) * _theta_value(floats, math.pi / y)

@@ -451,7 +451,7 @@ def classify(lines) -> tuple[str, int | None, float]:
     """
     lines = tuple(lines)
     if not lines:
-        raise symspace.EmptyInput("no spectral lines to classify")
+        raise ValueError("no spectral lines to classify")
     margin = min(abs(line.value) - line.error_radius for line in lines)
     signs = [line.sign for line in lines]
     if any(s == 0 for s in signs):
@@ -585,7 +585,7 @@ def spectrum_partial(entry: LatticeEntry, alpha: float, lam: int, m_terms: int) 
     return (sa + (lam * n * (n + 2) - 8 * entry.root_count) * sb) / float(n * (n + 2))
 
 
-def alpha_sweep(entry: LatticeEntry, alphas, tol: float = 1e-8) -> list[SpectrumReport]:
+def alpha_sweep(entry: LatticeEntry, alphas, tol: float = 1e-10) -> list[SpectrumReport]:
     return [hessian_spectrum(entry, float(alpha), tol=tol) for alpha in alphas]
 
 
@@ -626,7 +626,7 @@ def isotropic_hessian_series(
     if entry.root_count != 0:
         raise Inapplicable("isotropic Hessian series requires a rootless lattice")
     fold = _fold(entry, alpha, ToleranceUnreachable)
-    tails = _tails(entry, fold.at, m_terms)  # MonotonicityViolated for too few terms
+    tails = _tails(entry, fold.at, m_terms)  # ValueError for too few terms
     return _eigenvalue(fold, entry.dimension, _kernel(entry, fold.at, m_terms), tails, 0)
 
 

@@ -23,10 +23,6 @@ from functools import cached_property, lru_cache
 from .records import Frozen
 
 
-class InvalidRank(ValueError):
-    """Rank outside the family's defined range."""
-
-
 def _sorted_rows(rows: list[tuple[int, ...]]) -> np.ndarray:
     import numpy as np
 
@@ -68,7 +64,7 @@ def _doubled_roots(kind: str, rank: int) -> np.ndarray:
         return _sorted_rows(
             [tuple(r) for r in e8.tolist() if r[6] == r[7] and r[5] == r[6]]
         )
-    raise InvalidRank(f"no irreducible system {kind}{rank}")
+    raise ValueError(f"no irreducible system {kind}{rank}")
 
 
 def _zero_sum_basis(n: int) -> np.ndarray:
@@ -151,7 +147,7 @@ def make_irreducible(kind: str, rank: int) -> IrreducibleRootSystem:
     kind = kind.upper()
     if not ((kind == "A" and rank >= 1) or (kind == "D" and rank >= 4)
             or (kind == "E" and rank in (6, 7, 8))):
-        raise InvalidRank(f"no irreducible system {kind}{rank}")
+        raise ValueError(f"no irreducible system {kind}{rank}")
     return IrreducibleRootSystem(kind, rank)
 
 

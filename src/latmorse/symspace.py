@@ -22,22 +22,6 @@ from .rootsys import IrreducibleRootSystem, RootSystem, _zero_sum_basis, direct_
 
 CLUSTER_TOL = 1e-6
 
-class UnequalCoxeter(ValueError):
-    """Closed spectrum requested for a sum with mixed Coxeter numbers."""
-
-
-class EmptyInput(ValueError):
-    pass
-
-
-class OffSphere(ValueError):
-    """Design check received points of unequal norm."""
-
-
-class NonTraceless(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # the quartic form
 # ---------------------------------------------------------------------------
@@ -46,7 +30,7 @@ class NonTraceless(ValueError):
 def _direction(h, n: int) -> np.ndarray:
     """H as a float n x n array, if it is a direction: finite, and symmetric and
     traceless to 1e-12 max(1, max|H|).  Q and every oracle below are defined on
-    that space only, so anything else is a ValueError (NonTraceless for a trace).
+    that space only, so anything else is a ValueError.
     """
     import numpy as np
 
@@ -57,7 +41,7 @@ def _direction(h, n: int) -> np.ndarray:
         raise ValueError("direction must be finite")
     tolerance = 1e-12 * max(1.0, float(np.abs(h).max()))
     if abs(float(np.trace(h))) > tolerance:
-        raise NonTraceless("direction must be traceless")
+        raise ValueError("direction must be traceless")
     if float(np.abs(h - h.T).max()) > tolerance:
         raise ValueError("direction must be symmetric")
     return h
@@ -118,7 +102,7 @@ def closed_spectrum(system: RootSystem | IrreducibleRootSystem) -> QSpectrum:
     if not system.components:
         raise ValueError("closed spectrum of an empty system is undefined")
     if not system.equal_coxeter and len(system.components) > 1:
-        raise UnequalCoxeter(
+        raise ValueError(
             f"components have Coxeter numbers {sorted(set(system.coxeter_numbers))}"
         )
     n = system.total_rank
@@ -209,12 +193,12 @@ def design_check(points, t: int) -> DesignCheck:
         raise ValueError("design strength t must be 2 or 4")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
-        raise EmptyInput("need a nonempty 2d array of points")
+        raise ValueError("need a nonempty 2d array of points")
     k, n = pts.shape
     norms = np.einsum("ij,ij->i", pts, pts)
     r2 = float(np.mean(norms))
-    if r2 <= 0.0 or np.max(np.abs(norms - r2)) > 1e-9 * max(1.0, r2):
-        raise OffSphere("points do not share a common positive norm")
+    if r2 <= 0.0 or np.max(np.abs(norms - r2)) > 1e-9 * r2:
+        raise ValueError("points do not share a common positive norm")
     scale2 = r2 * k / n
     resid2 = float(np.max(np.abs(pts.T @ pts - scale2 * np.eye(n)))) / scale2
     if t == 2:

@@ -94,6 +94,15 @@ def test_oversized_root_string_exits_2(lattice, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("system", ["E9 --dim 32", "A0 --dim 8", "D3 --dim 8"])
+def test_invalid_rank_exits_2(system, capsys):
+    name, *rest = system.split()
+    code, out, err = _run(capsys, ["analyze", name, *rest])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: no irreducible system {name}\n"
+
+
 def test_tolerance_unreachable_exits_1(capsys):
     code, out, err = _run(capsys, ["analyze", "D24", "--tol", "1e-13"])
     assert code == 1

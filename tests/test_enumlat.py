@@ -81,14 +81,14 @@ def test_gram_validation():
         enumlat.short_vectors(np.array([[2, 1], [0, 2]]), 2)
     with pytest.raises(ValueError):
         enumlat.short_vectors(np.array([[2.0, 0.5], [0.5, 2.0]]), 2)
-    with pytest.raises(enumlat.NotPositiveDefinite):
+    with pytest.raises(ValueError, match="not positive definite"):
         enumlat.short_vectors(np.array([[1, 2], [2, 1]]), 2)
 
 
 def test_budget_guards():
-    with pytest.raises(enumlat.BudgetExceeded):
+    with pytest.raises(ValueError, match="enumeration limited to dimension 16"):
         enumlat.shell_counts(2 * np.eye(17, dtype=np.int64), 1)
-    with pytest.raises(enumlat.BudgetExceeded):
+    with pytest.raises(ValueError, match="shells limited to m <= 6"):
         enumlat.shell_counts(SCALED_Z2, enumlat.MAX_SHELL + 1)
     with pytest.raises(ValueError):
         enumlat.shell_counts(SCALED_Z2, 0)
@@ -159,7 +159,7 @@ def test_hessian_direct_rejects_nan(case, match):
         args["basis"] = _nan_at(entry.basis, 3, 2)
     elif case == "alpha":
         args["alpha"] = math.nan
-    else:  # without a basis this raised NotPositiveDefinite
+    else:  # without a basis this raised "not positive definite"
         args.update(gram=_nan_at(_nan_at(entry.gram, 0, 1), 1, 0), basis=None)
     with pytest.raises(ValueError, match=match):
         enumlat.hessian_direct(**args)
