@@ -39,11 +39,13 @@ def parse_tol(text: str) -> float:
     return _positive_finite("tol", text)
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type for a decimal integer >= 0."""
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return int(text)
+def _paper_digits(text: str) -> int:
+    """argparse type for a decimal integer in [0, 1074]: every float's exact
+    decimal expansion ends within 1074 places (2^-1074 is the smallest step)."""
+    digits = text.strip()  # its length is checked before int() reads it
+    if not (digits.isdecimal() and len(digits.lstrip("0")) <= 4 and int(digits) <= 1074):
+        raise argparse.ArgumentTypeError(f"must be an integer from 0 to 1074, got {text!r}")
+    return int(digits)
 
 
 def _fmt(x: float, digits: int | None) -> str:
@@ -348,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--alpha", type=parse_alpha, default=math.pi,
                            help="Gaussian parameter; 'pi' or a decimal (default pi)")
             p.add_argument("--format", choices=("markdown", "json"), default="markdown")
-            p.add_argument("--paper-digits", type=_nonnegative_int, default=None,
+            p.add_argument("--paper-digits", type=_paper_digits, default=None,
                            help="truncate printed mu values to this many decimals")
         p.add_argument("--tol", type=parse_tol, default=1e-10,
                        help="target certified error radius per eigenvalue")

@@ -72,6 +72,8 @@ class LatticeEntry(Frozen):
 def _series_pair(entry: LatticeEntry, length: int) -> tuple[memoryview, memoryview]:
     """Rows up to the length of the entry's own exact series are views of the
     one pair converted from them; only longer rows build longer exact series."""
+    if length < 0:
+        raise ValueError(f"series length must be nonnegative, got {length}")
     own = entry.theta.length
     if length < own:
         return tuple(row[:length] for row in _series_pair(entry, own))

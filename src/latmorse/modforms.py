@@ -101,20 +101,12 @@ class QSeries(Frozen):
 
     ``weight`` is the modular weight, carried so arithmetic can check that
     sums stay inside one space.  ``coeffs[m]`` is the coefficient of q^m;
-    the truncation order is ``len(coeffs)``.  Equal weights and coefficients
-    make equal series.
+    the truncation order is ``len(coeffs)``.  Like every ``Frozen`` record
+    it compares by identity: compare ``coeffs`` to compare values.
     """
 
     def __init__(self, weight: int, coeffs: tuple[int | Fraction, ...]) -> None:
         self.__dict__.update(weight=weight, coeffs=coeffs)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.weight == other.weight and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.weight, self.coeffs))
 
     @property
     def length(self) -> int:
@@ -160,16 +152,6 @@ class QSeries(Frozen):
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
-
-    def to_json_dict(self) -> dict:
-        """Exact JSON form: rationals as 'p/q' strings."""
-        return {
-            "weight": self.weight,
-            "coefficients": [
-                str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-                for c in self.coeffs
-            ],
-        }
 
 
 def eisenstein(k: int, length: int = DEFAULT_LENGTH) -> QSeries:
@@ -240,22 +222,28 @@ def cusp_normalized(n: int, length: int = DEFAULT_LENGTH) -> QSeries:
     return QSeries(w, _monomial(*rows[1], length))
 
 
-def theta_even_unimodular(n: int, root_count: int, length: int = DEFAULT_LENGTH) -> QSeries:
-    """Theta series of an even unimodular lattice of dimension n with
-    root_count roots, a nonnegative integer, from the rows of weight n/2
-    (module docstring)."""
+def _theta_rows(n: int, root_count: int) -> tuple[list[tuple[int, int, int]], int]:
+    """Rows of weight n/2 and the count as an int, once (n, root_count) fixes a theta: a
+    nonnegative int, 240 n/8 where S_(n/2) = 0, and S_(n/2) at most a line."""
     k, root_count = _eighth(n), operator.index(root_count)
     if root_count < 0:
         raise ValueError(f"root count must be nonnegative, got {root_count}")
-    rows, cusp = _weight_rows(4 * k), root_count - 240 * k
+    rows = _weight_rows(4 * k)
     if len(rows) > 2:
         raise ValueError(f"the root count does not fix theta in dimension {n}")
-    if len(rows) == 1 and cusp:
+    if len(rows) == 1 and root_count != 240 * k:
         raise ValueError(f"dimension {n} forces {240 * k} roots")
-    theta = _monomial(*rows[0], length)
+    return rows, root_count
+
+
+def theta_even_unimodular(n: int, root_count: int, length: int = DEFAULT_LENGTH) -> QSeries:
+    """Theta series of an even unimodular lattice of dimension n with root_count
+    roots, a nonnegative integer, from the rows of weight n/2 (module docstring)."""
+    rows, root_count = _theta_rows(n, root_count)
+    theta, cusp = _monomial(*rows[0], length), root_count - 30 * n  # a_1 - 240 n/8
     if cusp:
         theta = tuple(t + cusp * r for t, r in zip(theta, _monomial(*rows[1], length)))
-    return QSeries(4 * k, theta)
+    return QSeries(n // 2, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -340,18 +328,19 @@ def cusp_coeff_bound(k: int, leading_coeffs) -> CoeffBound:
 
 
 @lru_cache(maxsize=256)
-def theta_coeff_bound(n: int, root_count) -> CoeffBound:
+def theta_coeff_bound(n: int, root_count: int) -> CoeffBound:
     """Certified bound on |a_m| for the dimension-n theta with given root count.
 
+    (n, root_count) must fix a theta series, as in ``theta_even_unimodular``.
     Eisenstein part from ``eisenstein_coeff_bound``; where S_(n/2) is not 0
     the cusp part uses the Jenkins-Rouse constant of the cusp component, whose
     first coefficient is root_count - (coefficient of q in E_{n/2}).
     """
+    rows, root_count = _theta_rows(n, root_count)
     eis = eisenstein_coeff_bound(n)
-    c1 = Fraction(root_count) - eisenstein_first_coeff(n // 2)
-    if c1 == 0 or len(_weight_rows(n // 2)) == 1:
+    if len(rows) == 1:
         return eis
-    cusp = cusp_coeff_bound(n // 2, (c1,))
+    cusp = cusp_coeff_bound(n // 2, (root_count - eisenstein_first_coeff(n // 2),))
     return CoeffBound(eis.terms + cusp.terms)
 
 

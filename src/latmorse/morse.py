@@ -197,26 +197,9 @@ class CriticalityResult(Frozen):
         return self.kind == "critical_all_alpha"
 
     @cached_property
-    def witness(self) -> np.ndarray | None:
-        """Traceless block-diagonal direction, defect d on each block's
-        diagonal, read-only and built on first read; None when critical."""
-        if self.is_critical:
-            return None
-        import numpy as np
-
-        n = sum(size for size, _ in self.blocks)
-        witness = np.zeros((n, n))
-        offset = 0
-        for (size, _), d in zip(self.blocks, self.defects):
-            witness[offset : offset + size, offset : offset + size] = float(d) * np.eye(size)
-            offset += size
-        witness.setflags(write=False)
-        return witness
-
-    @cached_property
     def witness_pairing(self) -> float:
-        """<W, S_1> = sum size d^2 for the witness W (0.0 when critical): the
-        exact Fraction sum, rounded once."""
+        """<W, S_1> = sum size d^2 for the traceless witness W, defect d on each block
+        (0.0 when critical): the exact Fraction sum, rounded once."""
         return float(sum(size * d * d for (size, _), d in zip(self.blocks, self.defects)))
 
 
@@ -228,7 +211,7 @@ def criticality(entry: LatticeEntry) -> CriticalityResult:
     target.  A nonzero defect comes with a traceless block-diagonal witness
     direction along which the gradient does not vanish for generic alpha
     (``noncritical_certificate`` pins it down at a specific alpha).  Cached
-    per entry; the result is immutable and its witness read-only.
+    per entry; the result is immutable.
     """
     n = entry.dimension
     system = entry.root_system
@@ -262,28 +245,21 @@ def criticality(entry: LatticeEntry) -> CriticalityResult:
 
 
 class Certificate(Frozen):
-    """Proof that the gradient pairing with ``direction`` is nonzero.
+    """Proof that the gradient pairing with a traceless direction H is nonzero.
 
     root_term is the m = 1 term of -alpha <H, S_1> Delta E6(e^(-2 alpha)),
     rounded down; remainder is |its terms 2..exact_terms| plus their radius
     (certified tail, roundoff, fold error), so root_term - remainder bounds
     |pairing| from below and validity is root_term > remainder.  Below
     alpha = pi both are scaled back from pi^2 / alpha, and ``constants``
-    (which describe the side summed) gain ``dual_alpha`` and ``scale``.
-    ``_direction`` is the caller's direction, or the CriticalityResult whose
-    witness it is.
+    (which describe the side summed, and hold root_pairing = |<H, S_1>|, all
+    that is read of H) gain ``dual_alpha`` and ``scale``.
     """
 
-    def __init__(self, lattice: str, alpha: float, _direction: object, root_term: float,
-                 remainder: float, constants: dict) -> None:
-        self.__dict__.update(lattice=lattice, alpha=alpha, _direction=_direction,
-                             root_term=root_term, remainder=remainder, constants=constants)
-
-    @property
-    def direction(self) -> np.ndarray:
-        """The traceless direction paired with the gradient."""
-        given = self._direction
-        return given.witness if isinstance(given, CriticalityResult) else given
+    def __init__(self, lattice: str, alpha: float, root_term: float, remainder: float,
+                 constants: dict) -> None:
+        self.__dict__.update(lattice=lattice, alpha=alpha, root_term=root_term,
+                             remainder=remainder, constants=constants)
 
     @property
     def exact_terms(self) -> int:
@@ -326,7 +302,6 @@ def noncritical_certificate(entry: LatticeEntry, alpha: float, direction=None) -
             raise CertificateFails(
                 f"{entry.name} is critical at every alpha; no witness direction exists"
             )
-        direction = crit
         root_pairing = crit.witness_pairing
     else:
         direction = symspace._direction(direction, entry.dimension)
@@ -373,7 +348,7 @@ def noncritical_certificate(entry: LatticeEntry, alpha: float, direction=None) -
             f"root term {root_term:.6g} does not dominate remainder {remainder:.6g} "
             f"at alpha = {alpha:g}{where}"
         )
-    return Certificate(entry.name, alpha, direction, root_term, remainder, constants)
+    return Certificate(entry.name, alpha, root_term, remainder, constants)
 
 
 # ---------------------------------------------------------------------------

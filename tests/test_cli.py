@@ -8,13 +8,14 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latmorse import cli, morse
+from latmorse import cli, latcat, morse
 
 
 def _run(capsys, argv):
@@ -57,6 +58,8 @@ def test_parse_alpha_and_tol_accept_exactly_finite_positive(value):
         ["analyze", "E8", "--series-length", "0"],
         ["sweep", "E8", "--start", "3", "--stop", "4", "--series-length", "2.5"],
         ["table24", "--paper-digits", "-1"],
+        ["analyze", "E8", "--paper-digits", "1075"],
+        ["analyze", "E8", "--paper-digits", "1000000000"],
     ],
 )
 def test_nonfinite_or_nonpositive_arguments_exit_2(argv, capsys):
@@ -273,6 +276,17 @@ def test_analyze_paper_digits_past_float_resolution(capsys):
     assert code == 0, err
     _, plain, _ = _run(capsys, ["analyze", "E8"])
     assert _mus(wide) == _mus(plain) and len(_mus(plain)) == 1
+
+
+def test_analyze_paper_digits_prints_every_float_exactly_at_1074(capsys):
+    # 2^-1074 is the smallest float step, so 1074 places hold every exact expansion
+    code, out, err = _run(capsys, ["analyze", "E8", "--paper-digits", "1074"])
+    assert code == 0, err
+    rows = [line.split("|") for line in out.splitlines() if line.startswith("| ")]
+    printed = [cells[3].strip() for cells in rows if cells[1].strip().isdigit()]
+    values = [line.value for line in morse.hessian_spectrum(latcat.get("E8"), math.pi).lines]
+    assert [Decimal(text) for text in printed] == [Decimal(value) for value in values]
+    assert len(printed) == 1
 
 
 def test_table24(capsys):

@@ -163,6 +163,13 @@ def test_series_floats():
     assert again[0] is a  # cached
 
 
+def test_series_floats_rejects_a_negative_length():
+    # a negative slice bound would return rows of length 64 - 1
+    with pytest.raises(ValueError, match="series length must be nonnegative, got -1"):
+        latcat.get("E8").series_floats(-1)
+    assert [len(row) for row in latcat.get("E8").series_floats(0)] == [0, 0]
+
+
 def test_series_floats_are_read_only_buffers():
     a, b = latcat.get("D16+").series_floats(8)
     assert a.readonly and b.readonly

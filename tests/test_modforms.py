@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from latmorse import latcat
 from latmorse import modforms as mf
 
 # reference expansions, frozen from independent evaluation
@@ -124,10 +125,10 @@ def test_qseries_product_rows():
 
 def test_qseries_json_round_trip():
     e4 = mf.eisenstein(4, length=4)
-    payload = e4.scale(Fraction(1, 3)).to_json_dict()
-    assert payload["weight"] == 4
-    assert payload["coefficients"][0] == "1/3"
-    assert payload["coefficients"][1] == "80"
+    third = e4.scale(Fraction(1, 3))
+    assert third.weight == 4
+    assert third.coeffs[:2] == (Fraction(1, 3), Fraction(80))
+    assert all(type(c) is Fraction for c in third.coeffs)
 
 
 def test_cusp_normalized():
@@ -223,7 +224,6 @@ def test_theta_combination_matches_fraction_products(n, rc):
     assert theta.coeffs == expected.coeffs
     assert theta.is_integral()
     assert all(type(c) is int for c in theta.coeffs)
-    assert theta.to_json_dict() == expected.to_json_dict()
     assert theta.floats() == expected.floats()
 
 
@@ -233,6 +233,21 @@ def test_theta_root_count_must_be_a_count():
     for rc in (Fraction(1, 2), 2.5):
         with pytest.raises(TypeError):
             mf.theta_even_unimodular(24, rc)
+
+
+def test_theta_coeff_bound_takes_only_root_counts_that_fix_theta():
+    # the checks of theta_even_unimodular, on the bound of a theta that does not exist
+    for n, rc, match in ((24, -5, "root count must be nonnegative, got -5"),
+                         (8, 239, "dimension 8 forces 240 roots"),
+                         (16, 481, "dimension 16 forces 480 roots"),
+                         (48, 0, "the root count does not fix theta in dimension 48")):
+        with pytest.raises(ValueError, match=match):
+            mf.theta_coeff_bound(n, rc)
+    with pytest.raises(TypeError):
+        mf.theta_coeff_bound(24, 2.5)
+    # E8's 240 roots are no count a 16-dimensional theta can have
+    with pytest.raises(ValueError, match="dimension 16 forces 480 roots"):
+        mf.theta_duality_residual(latcat.get("E8").theta, 16, 1.2)
 
 
 def test_theta_first_coefficient_is_root_count():
@@ -422,9 +437,13 @@ def test_coeff_bound_series_tail_consistency():
 
 def test_series_spellings_of_the_default_length_agree():
     n = mf.DEFAULT_LENGTH
-    assert mf.theta_even_unimodular(24, 0) == mf.theta_even_unimodular(24, 0, n)
-    assert mf.theta_even_unimodular(24, 0) == mf.theta_even_unimodular(24, 0, length=n)
-    assert mf.cusp_normalized(32) == mf.cusp_normalized(32, n) == mf.cusp_normalized(32, length=n)
-    assert mf.discriminant() == mf.discriminant(n) == mf.discriminant(length=n)
-    assert mf.discriminant(12) == mf.discriminant(length=12)
-    assert mf.theta_even_unimodular(n=8, root_count=240) == mf.theta_even_unimodular(8, 240)
+    leech = mf.theta_even_unimodular(24, 0).coeffs
+    assert leech == mf.theta_even_unimodular(24, 0, n).coeffs
+    assert leech == mf.theta_even_unimodular(24, 0, length=n).coeffs
+    cusp = mf.cusp_normalized(32).coeffs
+    assert cusp == mf.cusp_normalized(32, n).coeffs == mf.cusp_normalized(32, length=n).coeffs
+    delta = mf.discriminant().coeffs
+    assert delta == mf.discriminant(n).coeffs == mf.discriminant(length=n).coeffs
+    assert mf.discriminant(12).coeffs == mf.discriminant(length=12).coeffs == delta[:12]
+    assert (mf.theta_even_unimodular(n=8, root_count=240).coeffs
+            == mf.theta_even_unimodular(8, 240).coeffs)

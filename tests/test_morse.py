@@ -45,12 +45,15 @@ def test_truncate_decimal():
 def test_criticality_catalog():
     for entry in latcat.list_catalog():
         crit = morse.criticality(entry)
+        assert sum(size for size, _ in crit.blocks) == entry.dimension
+        assert len(crit.defects) == len(crit.blocks)
         if entry.name == "A1^8+A3^8":
             assert not crit.is_critical
             assert crit.kind == "moment_defect"
+            assert crit.witness_pairing == 96.0
         else:
             assert crit.is_critical
-            assert crit.witness is None
+            assert crit.witness_pairing == 0.0
             assert all(d == 0 for d in crit.defects)
 
 
@@ -59,11 +62,11 @@ def test_criticality_defect_structure():
     assert crit.target == Fraction(7)
     assert crit.blocks == ((1, Fraction(4)),) * 8 + ((3, Fraction(8)),) * 8
     assert crit.defects == (Fraction(-3),) * 8 + (Fraction(1),) * 8
-    witness = crit.witness
-    assert witness is not None
-    assert not witness.flags.writeable
-    assert abs(float(np.trace(witness))) == 0.0
-    assert np.array_equal(np.diag(witness), np.array([-3.0] * 8 + [1.0] * 24))
+    # the witness is block-scalar with defect d on each block: traceless, with
+    # diagonal (-3^8, 1^24) and <W, S_1> = 8 * 9 + 24 * 1
+    diagonal = [d for (size, _), d in zip(crit.blocks, crit.defects) for _ in range(size)]
+    assert diagonal == [-3] * 8 + [1] * 24 and sum(diagonal) == 0
+    assert crit.witness_pairing == 96.0
 
 
 def test_criticality_rootless_blocks():
@@ -594,13 +597,13 @@ def test_moment_defect_below_dimension_32_is_inapplicable():
 
 
 def test_certificate_direction_is_the_witness():
+    # the certificate reads a direction only through |<H, S_1>|: the witness's
+    # by default, and -8 times it along diag(24^8, -8^24)
     defective = latcat.get("A1^8+A3^8")
-    assert morse.noncritical_certificate(defective, 14.0).direction is (
-        morse.criticality(defective).witness
-    )
+    assert morse.noncritical_certificate(defective, 14.0).constants["root_pairing"] == 96.0
     direction = np.diag([24.0] * 8 + [-8.0] * 24)
-    given = morse.noncritical_certificate(defective, 14.0, direction).direction
-    assert np.array_equal(given, direction)
+    given = morse.noncritical_certificate(defective, 14.0, direction)
+    assert given.constants["root_pairing"] == 768.0
 
 
 @pytest.mark.parametrize("entry, expected", [

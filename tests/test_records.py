@@ -1,8 +1,8 @@
 """Every record type: construction, defaults, repr, equality, immutability.
 
 Value records compare and hash by their fields; identity records (a lattice,
-a result, a report) compare by identity, so caching on one never hashes its
-theta row.  Neither kind accepts assignment to a field.
+a series, a result, a report) compare by identity, so caching on one never
+hashes its theta row.  Neither kind accepts assignment to a field.
 """
 
 from __future__ import annotations
@@ -50,10 +50,12 @@ def test_value_record_repr_text():
 
 
 def test_qseries_is_a_value_record_without_tuple_behaviour():
+    # values are read off the fields; the series itself compares by identity
     series = modforms.QSeries(4, (1, 240, 2160))
-    assert series == modforms.QSeries(weight=4, coeffs=(1, 240, 2160))
-    assert hash(series) == hash(modforms.QSeries(4, (1, 240, 2160)))
-    assert series != modforms.QSeries(8, (1, 240, 2160))
+    twin = modforms.QSeries(weight=4, coeffs=(1, 240, 2160))
+    assert (twin.weight, twin.coeffs) == (series.weight, series.coeffs)
+    assert twin is not series and twin != series
+    assert hash(series) == object.__hash__(series)
     assert series != (4, (1, 240, 2160))
     assert repr(series) == "QSeries(weight=4, coeffs=(1, 240, 2160))"
     assert series.length == 3 and series.coefficient(1) == 240
@@ -74,6 +76,7 @@ def test_qseries_is_a_value_record_without_tuple_behaviour():
 def _identity_records():
     """(record, the same record rebuilt by keyword, field names) per identity record type."""
     e8 = latcat.get("E8")
+    series = modforms.QSeries(4, (1, 240, 2160))
     crit = morse.criticality(latcat.get("A1^8+A3^8"))
     report = morse.hessian_spectrum(latcat.get("E8"), 5.0)
     cert = morse.noncritical_certificate(latcat.get("A1^8+A3^8"), 14.0)
@@ -81,15 +84,15 @@ def _identity_records():
     fields = {
         latcat.LatticeEntry: ("name", "dimension", "root_system", "root_count",
                               "coxeter_number", "theta", "cusp", "with_gram"),
+        modforms.QSeries: ("weight", "coeffs"),
         morse.CriticalityResult: ("kind", "target", "blocks", "defects", "reason"),
-        morse.Certificate: ("lattice", "alpha", "_direction", "root_term", "remainder",
-                            "constants"),
+        morse.Certificate: ("lattice", "alpha", "root_term", "remainder", "constants"),
         morse.SpectrumReport: ("lattice", "alpha", "terms", "lines", "classification",
                                "morse_index", "margin", "side"),
         rootsys.IrreducibleRootSystem: ("kind", "rank"),
         rootsys.RootSystem: ("components",),
     }
-    for record in (e8, crit, cert, report, a2, e8.root_system):
+    for record in (e8, series, crit, cert, report, a2, e8.root_system):
         names = fields[type(record)]
         values = {name: getattr(record, name) for name in names}
         yield record, type(record)(**values), names
@@ -109,7 +112,7 @@ def test_identity_records():
                 setattr(record, name, None)
         with pytest.raises(AttributeError):
             record.not_a_field = 1
-    assert len(seen) == 6
+    assert len(seen) == 7
 
 
 def test_identity_record_defaults_and_cached_properties():
