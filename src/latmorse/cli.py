@@ -225,7 +225,7 @@ def cmd_dim32(args) -> int:
 
     defected = latcat.get("A1^8+A3^8")
     crit = morse.criticality(defected)
-    cert = morse.noncritical_certificate(defected, args.cert_alpha)
+    cert = morse.noncritical_certificate(defected, 14.0)  # analyze certifies other alphas
 
     if args.format == "json":
         spectrum_payload = report.to_json_dict()
@@ -373,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dim32", help="the two 32-dimensional entries")
     common(p)
-    p.add_argument("--cert-alpha", type=parse_alpha, default=14.0,
-                   help="alpha for the non-criticality certificate (default 14)")
     p.set_defaults(func=cmd_dim32)
 
     p = sub.add_parser("sweep", help="spectrum across an alpha range, CSV")

@@ -104,14 +104,12 @@ def _enumerate(g: np.ndarray, bound: int, visit) -> None:
             if np.any(keep):
                 visit(v[keep], norms[keep])
             continue
-        for s in range(0, v.shape[0], _CHUNK_ROWS):
-            new_v, new_cost = _expand_level(
-                v[s : s + _CHUNK_ROWS], cost[s : s + _CHUNK_ROWS], r_upper, level - 1, fuzzy
-            )
-            if new_v is None:
-                continue
-            for t in range(0, new_v.shape[0], _CHUNK_ROWS):
-                stack.append((level - 1, new_v[t : t + _CHUNK_ROWS], new_cost[t : t + _CHUNK_ROWS]))
+        # every entry holds at most _CHUNK_ROWS rows, and so does every push
+        new_v, new_cost = _expand_level(v, cost, r_upper, level - 1, fuzzy)
+        if new_v is None:
+            continue
+        for t in range(0, new_v.shape[0], _CHUNK_ROWS):
+            stack.append((level - 1, new_v[t : t + _CHUNK_ROWS], new_cost[t : t + _CHUNK_ROWS]))
 
 
 def short_vectors(gram, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -122,6 +120,8 @@ def short_vectors(gram, bound: int) -> tuple[np.ndarray, np.ndarray]:
     """
     import numpy as np
 
+    if not np.isfinite(bound):  # it sets integer coordinate limits
+        raise ValueError(f"bound must be finite, got {bound!r}")
     g = _checked_gram(gram)
     pieces: list[np.ndarray] = []
     norm_pieces: list[np.ndarray] = []

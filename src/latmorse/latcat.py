@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 
 from . import modforms
 from .records import Frozen
-from .rootsys import RootSystem, empty_root_system, parse_root_system
+from .rootsys import RootSystem, parse_root_system
 
 
 class UnknownLattice(KeyError):
@@ -105,13 +105,12 @@ def _unimodular_basis(n: int) -> np.ndarray:
 
 def _entry(name: str, dimension: int, system: RootSystem, with_gram: bool = False) -> LatticeEntry:
     """The one construction path: theta, cusp and Coxeter data from (n, roots)."""
-    hs = set(system.coxeter_numbers)
     return LatticeEntry(
         name=name,
         dimension=dimension,
         root_system=system,
         root_count=system.count,
-        coxeter_number=hs.pop() if len(hs) == 1 else None,
+        coxeter_number=system.coxeter_number,
         theta=modforms.theta_even_unimodular(dimension, system.count),
         cusp=modforms.cusp_normalized(dimension) if dimension != 8 else None,
         with_gram=with_gram,
@@ -151,7 +150,7 @@ def _catalog() -> tuple[LatticeEntry, ...]:
     specs += [(name, 24, name) for name in NIEMEIER_ROOT_SYSTEMS]
     specs += [("Rootless32", 32, None), ("A1^8+A3^8", 32, "A1^8+A3^8")]
     entries = [
-        _entry(name, n, parse_root_system(roots) if roots else empty_root_system(),
+        _entry(name, n, parse_root_system(roots) if roots else RootSystem(()),
                with_gram=name in ("E8", "D16+"))
         for name, n, roots in specs
     ]

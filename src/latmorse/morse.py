@@ -33,7 +33,6 @@ from functools import cached_property, lru_cache
 from . import modforms, symspace
 from .latcat import LatticeEntry
 from .records import Frozen
-from .rootsys import second_moment_blocks
 
 CLASS_LOCAL_MIN = "LocalMin"
 CLASS_LOCAL_MAX = "LocalMax"
@@ -216,9 +215,9 @@ def criticality(entry: LatticeEntry) -> CriticalityResult:
     n = entry.dimension
     system = entry.root_system
     target = Fraction(2 * entry.root_count, n)
+    # each component's shell has second moment 2h on its span (verify_moment_identity)
     blocks: list[tuple[int, Fraction]] = [
-        (comp.rank, Fraction(moment))
-        for comp, moment in zip(system.components, second_moment_blocks(system))
+        (comp.rank, Fraction(2 * comp.coxeter_number)) for comp in system.components
     ]
     uncovered = n - system.total_rank
     if uncovered:
@@ -613,15 +612,16 @@ def isotropic_hessian_series(
 DeformationCheck = namedtuple("DeformationCheck", "measured_ratio expected_ratio agree")
 
 _STEP = 1e-3
+_SHELLS = 4
 
 
-def deformation_check(gram, alpha: float, direction, m_max: int = 4) -> DeformationCheck:
+def deformation_check(gram, alpha: float, direction) -> DeformationCheck:
     """Finite-difference check of the Hessian convention on an actual path.
 
     Deform along t -> e^(tH/2), so the squared norms become x^T e^(tH) x, and
     compare the Richardson second derivative, step _STEP, of the (truncated)
-    energy with the analytic pairing from ``hessian_direct``.  Both truncate
-    at the same shells, so the ratio must be the convention factor 2 up to
+    energy with the analytic pairing from ``hessian_direct``.  Both sum the
+    shells m <= _SHELLS, so the ratio must be the convention factor 2 up to
     O(_STEP^2).
     """
     import numpy as np
@@ -631,8 +631,8 @@ def deformation_check(gram, alpha: float, direction, m_max: int = 4) -> Deformat
     g = np.asarray(gram)
     h = np.asarray(direction, dtype=float)
     # validates the Gram matrix, shell budget, alpha and direction before any walk
-    analytic = enumlat.hessian_direct(g, alpha, h, m_max)
-    vectors, norms = enumlat.short_vectors(g, 2 * m_max)
+    analytic = enumlat.hessian_direct(g, alpha, h, _SHELLS)
+    vectors, norms = enumlat.short_vectors(g, 2 * _SHELLS)
     # shell by shell, so the energy sums add in a fixed order
     frame = np.linalg.cholesky(g.astype(float)).T
     points = vectors[np.argsort(norms, kind="stable")] @ frame.T

@@ -31,42 +31,6 @@ def _sorted_rows(rows: list[tuple[int, ...]]) -> np.ndarray:
     return arr
 
 
-@lru_cache(maxsize=None)
-def _doubled_roots(kind: str, rank: int) -> np.ndarray:
-    """All roots of the system, coordinates doubled, lexicographically sorted."""
-    if kind == "A":
-        dim = rank + 1
-        rows = []
-        for i, j in itertools.permutations(range(dim), 2):
-            v = [0] * dim
-            v[i], v[j] = 2, -2
-            rows.append(tuple(v))
-        return _sorted_rows(rows)
-    if kind == "D":
-        rows = []
-        for i, j in itertools.combinations(range(rank), 2):
-            for si, sj in itertools.product((2, -2), repeat=2):
-                v = [0] * rank
-                v[i], v[j] = si, sj
-                rows.append(tuple(v))
-        return _sorted_rows(rows)
-    if kind == "E" and rank == 8:
-        rows = [tuple(v) for v in _doubled_roots("D", 8).tolist()]
-        for signs in itertools.product((1, -1), repeat=8):
-            if signs.count(-1) % 2 == 0:
-                rows.append(signs)
-        return _sorted_rows(rows)
-    if kind == "E" and rank == 7:
-        e8 = _doubled_roots("E", 8)
-        return _sorted_rows([tuple(r) for r in e8.tolist() if r[6] == r[7]])
-    if kind == "E" and rank == 6:
-        e8 = _doubled_roots("E", 8)
-        return _sorted_rows(
-            [tuple(r) for r in e8.tolist() if r[6] == r[7] and r[5] == r[6]]
-        )
-    raise ValueError(f"no irreducible system {kind}{rank}")
-
-
 def _zero_sum_basis(n: int) -> np.ndarray:
     """Orthonormal basis of the zero-sum hyperplane of R^n, n x (n - 1).
 
@@ -99,8 +63,27 @@ class IrreducibleRootSystem(Frozen):
 
     @cached_property
     def doubled_roots(self) -> np.ndarray:
-        """Integer matrix of 2x root coordinates, shape (count, ambient_dim)."""
-        return _doubled_roots(self.kind, self.rank)
+        """All roots, coordinates doubled to integers, sorted: (count, ambient_dim)."""
+        rank, rows = self.rank, []
+        if self.kind == "A":
+            for i, j in itertools.permutations(range(rank + 1), 2):
+                v = [0] * (rank + 1)
+                v[i], v[j] = 2, -2
+                rows.append(tuple(v))
+        elif self.kind == "D":
+            for i, j in itertools.combinations(range(rank), 2):
+                for si, sj in itertools.product((2, -2), repeat=2):
+                    v = [0] * rank
+                    v[i], v[j] = si, sj
+                    rows.append(tuple(v))
+        elif rank == 8:
+            rows = [tuple(v) for v in make_irreducible("D", 8).doubled_roots.tolist()]
+            rows += [s for s in itertools.product((1, -1), repeat=8) if s.count(-1) % 2 == 0]
+        else:  # E7 (x7 = x8) and E6 (x6 = x7 = x8) inside E8
+            tied = 9 - rank
+            rows = [tuple(r) for r in make_irreducible("E", 8).doubled_roots.tolist()
+                    if len(set(r[-tied:])) == 1]
+        return _sorted_rows(rows)
 
     @property
     def coxeter_number(self) -> int:
@@ -171,12 +154,11 @@ class RootSystem(Frozen):
         return sum(c.count for c in self.components)
 
     @cached_property
-    def coxeter_numbers(self) -> tuple[int, ...]:
-        return tuple(c.coxeter_number for c in self.components)
-
-    @property
-    def equal_coxeter(self) -> bool:
-        return len(set(self.coxeter_numbers)) <= 1
+    def coxeter_number(self) -> int | None:
+        """The Coxeter number every component shares; None if they differ or
+        there are none."""
+        hs = {c.coxeter_number for c in self.components}
+        return hs.pop() if len(hs) == 1 else None
 
     @cached_property
     def name(self) -> str:
@@ -189,42 +171,21 @@ class RootSystem(Frozen):
         return "+".join(parts)
 
     @cached_property
-    def rank_offsets(self) -> tuple[int, ...]:
-        offsets, pos = [], 0
-        for c in self.components:
-            offsets.append(pos)
-            pos += c.rank
-        return tuple(offsets)
-
-    @cached_property
     def frame_roots(self) -> np.ndarray:
         """All roots in the block orthonormal frame, shape (count, total_rank)."""
         import numpy as np
 
-        n = self.total_rank
-        rows = np.zeros((self.count, n))
-        at = 0
-        for comp, off in zip(self.components, self.rank_offsets):
+        rows = np.zeros((self.count, self.total_rank))
+        at = off = 0
+        for comp in self.components:
             rows[at : at + comp.count, off : off + comp.rank] = comp.frame_roots
             at += comp.count
+            off += comp.rank
         rows.setflags(write=False)
         return rows
 
     def __repr__(self) -> str:
         return f"RootSystem({self.name}, rank {self.total_rank})"
-
-
-def direct_sum(components) -> RootSystem:
-    comps = tuple(components)
-    if not comps:
-        raise ValueError("direct_sum needs at least one component")
-    if not all(isinstance(c, IrreducibleRootSystem) for c in comps):
-        raise TypeError("components must be irreducible root systems")
-    return RootSystem(comps)
-
-
-def empty_root_system() -> RootSystem:
-    return RootSystem(())
 
 
 _TOKEN = re.compile(r"^([ADE])(\d+)(?:\^(\d+))?$", re.IGNORECASE)
@@ -257,8 +218,8 @@ def parse_root_system(text: str) -> RootSystem:
             f"{text!r} has total rank {total}, above {_MAX_TOTAL_RANK}, the largest "
             "lattice dimension"
         )
-    return direct_sum(make_irreducible(kind, rank) for kind, rank, reps in tokens
-                      for _ in range(reps))
+    return RootSystem(tuple(make_irreducible(kind, rank) for kind, rank, reps in tokens
+                            for _ in range(reps)))
 
 
 # ---------------------------------------------------------------------------
@@ -266,18 +227,12 @@ def parse_root_system(text: str) -> RootSystem:
 # ---------------------------------------------------------------------------
 
 
-def second_moment_blocks(system: RootSystem) -> tuple[int, ...]:
-    """Exact per-block scalar of the second moment: 2h_i on the i-th block.
-
-    Each irreducible shell satisfies sum x x^T = 2h P_span exactly (the Weyl
-    group acts irreducibly on the span); verify_moment_identity checks this
-    with integer arithmetic.
-    """
-    return tuple(2 * h for h in system.coxeter_numbers)
-
-
 def verify_moment_identity(system: IrreducibleRootSystem) -> bool:
-    """Exact check that sum x x^T acts as 2h on every root (integer arithmetic)."""
+    """Exact check that sum x x^T acts as 2h on every root (integer arithmetic).
+
+    The Weyl group acts irreducibly on the span, so sum x x^T = 2h P_span;
+    ``morse.criticality`` reads each component's second moment as 2h.
+    """
     import numpy as np
 
     r2 = system.doubled_roots

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .rootsys import IrreducibleRootSystem, RootSystem, _zero_sum_basis, direct_sum
+from .rootsys import IrreducibleRootSystem, RootSystem, _zero_sum_basis
 
 CLUSTER_TOL = 1e-6
 
@@ -98,13 +98,13 @@ def closed_spectrum(system: RootSystem | IrreducibleRootSystem) -> QSpectrum:
     diagonal directions (multiplicity m - 1).
     """
     if isinstance(system, IrreducibleRootSystem):
-        system = direct_sum([system])
+        system = RootSystem((system,))
     if not system.components:
         raise ValueError("closed spectrum of an empty system is undefined")
-    if not system.equal_coxeter and len(system.components) > 1:
-        raise ValueError(
-            f"components have Coxeter numbers {sorted(set(system.coxeter_numbers))}"
-        )
+    h = system.coxeter_number
+    if h is None:
+        hs = sorted({c.coxeter_number for c in system.components})
+        raise ValueError(f"components have Coxeter numbers {hs}")
     n = system.total_rank
     spec: dict[int, int] = {}
     for comp in system.components:
@@ -115,7 +115,6 @@ def closed_spectrum(system: RootSystem | IrreducibleRootSystem) -> QSpectrum:
     if cross:
         spec[0] = spec.get(0, 0) + cross
     if len(system.components) > 1:
-        h = system.coxeter_numbers[0]
         spec[4 * h] = spec.get(4 * h, 0) + len(system.components) - 1
     entries = tuple((float(lam), mult) for lam, mult in sorted(spec.items()))
     out = QSpectrum(space_dim=n * (n + 1) // 2 - 1, entries=entries)
@@ -150,7 +149,7 @@ def numeric_spectrum(system: RootSystem | IrreducibleRootSystem) -> QSpectrum:
     import numpy as np
 
     if isinstance(system, IrreducibleRootSystem):
-        system = direct_sum([system])
+        system = RootSystem((system,))
     n = system.total_rank
     if n < 2:
         raise ValueError("need rank >= 2 for a nontrivial traceless space")
@@ -194,6 +193,8 @@ def design_check(points, t: int) -> DesignCheck:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("need a nonempty 2d array of points")
+    if not np.isfinite(pts).all():  # NaN would pass the norm guard below
+        raise ValueError("points must be finite")
     k, n = pts.shape
     norms = np.einsum("ij,ij->i", pts, pts)
     r2 = float(np.mean(norms))

@@ -120,7 +120,7 @@ def test_tolerance_unreachable_exits_1(capsys):
 @pytest.mark.parametrize("argv", [
     ["analyze", "Rootless32", "--alpha", "1e-19"],
     ["table24", "--alpha", "1e-40"],
-    ["dim32", "--cert-alpha", "1e-20"],
+    ["analyze", "A1^8+A3^8", "--alpha", "1e-20"],
     ["sweep", "E8", "--start", "1e-300", "--stop", "1e-299", "--steps", "2"],
 ])
 def test_tiny_alpha_exits_1_with_underflow(argv, capsys):
@@ -155,7 +155,7 @@ def test_huge_alpha_error_names_no_nan(capsys):
 
 
 def test_huge_cert_alpha_error_names_no_nan(capsys):
-    code, out, err = _run(capsys, ["dim32", "--cert-alpha", "1e308"])
+    code, out, err = _run(capsys, ["analyze", "A1^8+A3^8", "--alpha", "1e308"])
     assert code == 1
     assert "root term 0 does not dominate" in err
     assert "nan" not in err

@@ -85,6 +85,15 @@ def test_gram_validation():
         enumlat.short_vectors(np.array([[1, 2], [2, 1]]), 2)
 
 
+@pytest.mark.parametrize("bound", [float("nan"), float("inf")])
+def test_short_vectors_rejects_a_nonfinite_bound(bound):
+    # the bound becomes integer coordinate limits, which NaN and inf have none of
+    with pytest.raises(ValueError, match="bound must be finite"):
+        enumlat.short_vectors(latcat.get("E8").gram, bound)
+    _, norms = enumlat.short_vectors(latcat.get("E8").gram, 2)
+    assert len(norms) == 240
+
+
 def test_budget_guards():
     with pytest.raises(ValueError, match="enumeration limited to dimension 16"):
         enumlat.shell_counts(2 * np.eye(17, dtype=np.int64), 1)

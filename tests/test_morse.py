@@ -737,7 +737,7 @@ def test_deformation_factor():
     assert check.agree
     assert check.measured_ratio == pytest.approx(2.0, abs=1e-5)
     gram = np.array([[2, 1], [1, 2]], dtype=np.int64)
-    check = morse.deformation_check(gram, 1.5, np.diag([1.0, -1.0]), m_max=6)
+    check = morse.deformation_check(gram, 1.5, np.diag([1.0, -1.0]))
     assert check.agree
     # eigh reads one triangle only, so a non-symmetric H has no path to deform along
     with pytest.raises(ValueError, match="direction must be symmetric"):

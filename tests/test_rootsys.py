@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from latmorse import latcat, rootsys
+from latmorse import latcat, morse, rootsys
 
 KNOWN_COUNTS = {
     ("A", 1): 2,
@@ -36,10 +36,13 @@ def test_closed_form_count_matches_roots(kind, rank):
 
 
 def test_catalog_build_enumerates_no_roots():
-    for cached in (latcat._catalog, rootsys.make_irreducible, rootsys._doubled_roots):
+    for cached in (latcat._catalog, rootsys.make_irreducible):
         cached.cache_clear()
-    assert len(latcat.list_catalog()) == 29
-    assert rootsys._doubled_roots.cache_info().misses == 0
+    entries = latcat.list_catalog()
+    assert len(entries) == 29
+    for entry in entries:
+        for comp in entry.root_system.components:
+            assert "doubled_roots" not in vars(comp)
 
 
 def test_coxeter_numbers():
@@ -101,10 +104,12 @@ def test_verify_moment_identity():
 
 
 def test_second_moment_blocks():
-    assert rootsys.second_moment_blocks(rootsys.parse_root_system("D16")) == (60,)
-    assert rootsys.second_moment_blocks(rootsys.parse_root_system("A5^4+D4")) == (12,) * 5
-    blocks = rootsys.second_moment_blocks(rootsys.parse_root_system("A1^8+A3^8"))
-    assert blocks == (4,) * 8 + (8,) * 8
+    def moments(name):
+        return tuple(moment for _, moment in morse.criticality(latcat.get(name)).blocks)
+
+    assert moments("D16+") == (60,)
+    assert moments("A5^4+D4") == (12,) * 5
+    assert moments("A1^8+A3^8") == (4,) * 8 + (8,) * 8
 
 
 def test_parse_round_trip():
@@ -123,22 +128,16 @@ def test_parse_rejects_malformed():
 
 
 def test_direct_sum_structure():
-    system = rootsys.parse_root_system("A3^2")
-    assert system.rank_offsets == (0, 3)
-    assert system.equal_coxeter
-    assert not rootsys.parse_root_system("A1+A2").equal_coxeter
-    assert rootsys.parse_root_system("D4^6").coxeter_numbers == (6,) * 6
+    assert rootsys.parse_root_system("A3^2").coxeter_number == 4
+    assert rootsys.parse_root_system("A1+A2").coxeter_number is None
+    assert rootsys.parse_root_system("D4^6").coxeter_number == 6
 
-    empty = rootsys.empty_root_system()
+    empty = rootsys.RootSystem(())
     assert empty.count == 0
     assert empty.total_rank == 0
     assert empty.name == "0"
+    assert empty.coxeter_number is None
     assert empty.frame_roots.shape == (0, 0)
-
-    with pytest.raises(ValueError):
-        rootsys.direct_sum([])
-    with pytest.raises(TypeError):
-        rootsys.direct_sum(["A1"])
 
 
 def test_direct_sum_frame_roots_block_layout():

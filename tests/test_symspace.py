@@ -106,7 +106,7 @@ def test_unequal_coxeter_guard():
     assert numeric.space_dim == 5
 
     with pytest.raises(ValueError):
-        symspace.closed_spectrum(rootsys.empty_root_system())
+        symspace.closed_spectrum(rootsys.RootSystem(()))
     with pytest.raises(ValueError):
         symspace.numeric_spectrum(rootsys.make_irreducible("A", 1))
 
@@ -117,6 +117,14 @@ def test_design_check_norm_guard_is_relative():
         points = scale * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]])
         with pytest.raises(ValueError, match="common positive norm"):
             symspace.design_check(points, 2)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("t", [2, 4])
+def test_design_check_rejects_nonfinite_points(value, t):
+    # NaN passes the common-norm guard, so finiteness is checked on its own
+    with pytest.raises(ValueError, match="points must be finite"):
+        symspace.design_check([[value, 0.0], [0.0, value]], t)
 
 
 def test_design_checks():
