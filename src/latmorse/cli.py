@@ -175,9 +175,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_table24(args) -> int:
     alpha = args.alpha
-    entries = [
-        e for e in latcat.list_catalog() if e.dimension == 24 and e.root_system.count > 0
-    ]
+    entries = [e for e in latcat.list_catalog() if e.dimension == 24 and e.root_count > 0]
     reports = [morse.hessian_spectrum(e, alpha, tol=args.tol) for e in entries]
     digits = args.paper_digits if args.paper_digits is not None else 4
     if args.format == "json":
@@ -188,7 +186,7 @@ def cmd_table24(args) -> int:
         for line in report.lines:
             rows.append([
                 entry.name,
-                str(entry.root_system.count),
+                str(entry.root_count),
                 str(entry.coxeter_number),
                 str(line.q_eigenvalue),
                 str(line.multiplicity),
@@ -286,8 +284,8 @@ def cmd_catalog(args) -> int:
         [
             e.name,
             str(e.dimension),
-            e.root_system.name if e.root_system.count else "(none)",
-            str(e.root_system.count),
+            e.root_system.name if e.root_count else "(none)",
+            str(e.root_count),
             str(e.coxeter_number) if e.coxeter_number is not None else "-",
         ]
         for e in entries

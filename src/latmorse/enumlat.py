@@ -180,6 +180,8 @@ def hessian_direct(gram, alpha: float, h, m_max: int, basis=None) -> float:
         basis = np.asarray(basis, dtype=float)
         if not np.max(np.abs(basis @ basis.T - g)) <= 1e-9:  # NaN fails
             raise ValueError("basis does not realize the Gram matrix")
+    if np.exp(-2.0 * alpha) == 0.0:  # every shell weight is 0.0, and 0.0 * inf is NaN
+        return 0.0
 
     acc = np.zeros(m_max + 1)
 

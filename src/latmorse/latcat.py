@@ -1,10 +1,11 @@
 """Catalog of even unimodular lattices in dimensions 8 to 32.
 
-Each entry carries the data the energy computations need: the root system
-(norm-2 shell), its size, the theta series and the normalized cusp form of the
-relevant weight.  Explicit Gram matrices and basis realizations are stored
-only where direct shell enumeration is wanted (E8 and D16+); everything else
-is determined by modular forms.
+Each entry holds the facts the energy computations read, each once: the
+root system (norm-2 shell; it owns the root count and Coxeter number), the
+theta series, the normalized cusp form of the relevant weight (zero in
+dimension 8) and the eigenvalue rows of the root-shell quartic form Q.
+Gram matrices and bases are stored only where direct shell enumeration is
+wanted (E8 and D16+); everything else is determined by modular forms.
 
 Dimension 24 holds the Leech lattice plus the 23 Niemeier lattices named by
 their root systems.  Dimension 32 holds two witnesses: a rootless lattice and
@@ -13,10 +14,11 @@ the lattice with root system A1^8 A3^8.
 
 from __future__ import annotations
 
+import math
 from array import array
 from functools import cached_property, lru_cache
 
-from . import modforms
+from . import modforms, symspace
 from .records import Frozen
 from .rootsys import RootSystem, parse_root_system
 
@@ -26,12 +28,30 @@ class UnknownLattice(KeyError):
 
 
 class LatticeEntry(Frozen):
-    def __init__(self, name: str, dimension: int, root_system: RootSystem, root_count: int,
-                 coxeter_number: int | None, theta: modforms.QSeries,
-                 cusp: modforms.QSeries | None, with_gram: bool = False) -> None:
+    def __init__(self, name: str, dimension: int, root_system: RootSystem,
+                 theta: modforms.QSeries, cusp: modforms.QSeries,
+                 with_gram: bool = False) -> None:
         self.__dict__.update(name=name, dimension=dimension, root_system=root_system,
-                             root_count=root_count, coxeter_number=coxeter_number,
                              theta=theta, cusp=cusp, with_gram=with_gram)
+
+    @property
+    def root_count(self) -> int:
+        return self.root_system.count
+
+    @property
+    def coxeter_number(self) -> int | None:
+        return self.root_system.coxeter_number
+
+    @cached_property
+    def q_rows(self) -> tuple[tuple[int, int], ...]:
+        """(lambda, multiplicity) rows of the root-shell quartic form Q on the
+        traceless n x n matrices: the single row (0, n(n+1)/2 - 1) without roots."""
+        n = self.dimension
+        if not self.root_system.components:
+            return ((0, n * (n + 1) // 2 - 1),)
+        if self.root_system.total_rank != n:  # then the entry is not critical
+            raise ValueError(f"{self.name}: Q-rows need roots spanning all {n} dimensions")
+        return symspace.closed_spectrum(self.root_system).entries
 
     @cached_property
     def basis(self) -> np.ndarray | None:
@@ -52,12 +72,8 @@ class LatticeEntry(Frozen):
         return gram
 
     def series_floats(self, length: int) -> tuple[memoryview, memoryview]:
-        """Float theta and cusp coefficient rows of exactly this length.
-
-        Read-only float64 memoryviews: ``np.asarray`` reads them without a
-        copy.  The cusp row is identically zero in dimension 8, where the
-        relevant cusp space is trivial.
-        """
+        """Float theta and cusp coefficient rows of exactly this length: read-only
+        float64 memoryviews, which ``np.asarray`` reads without a copy."""
         return _series_pair(self, length)
 
     def coeff_bound(self) -> modforms.CoeffBound:
@@ -80,9 +96,8 @@ def _series_pair(entry: LatticeEntry, length: int) -> tuple[memoryview, memoryvi
     theta, cusp = entry.theta, entry.cusp
     if length > own:
         theta = modforms.theta_even_unimodular(entry.dimension, entry.root_count, length)
-        cusp = None if cusp is None else modforms.cusp_normalized(entry.dimension, length)
-    a, b = theta.floats(), [0.0] * length if cusp is None else cusp.floats()
-    return memoryview(array("d", a)).toreadonly(), memoryview(array("d", b)).toreadonly()
+        cusp = modforms.cusp_normalized(entry.dimension, length)
+    return tuple(memoryview(array("d", row.floats())).toreadonly() for row in (theta, cusp))
 
 
 def _unimodular_basis(n: int) -> np.ndarray:
@@ -104,15 +119,13 @@ def _unimodular_basis(n: int) -> np.ndarray:
 
 
 def _entry(name: str, dimension: int, system: RootSystem, with_gram: bool = False) -> LatticeEntry:
-    """The one construction path: theta, cusp and Coxeter data from (n, roots)."""
+    """The one construction path: theta and cusp series from (n, roots)."""
     return LatticeEntry(
         name=name,
         dimension=dimension,
         root_system=system,
-        root_count=system.count,
-        coxeter_number=system.coxeter_number,
         theta=modforms.theta_even_unimodular(dimension, system.count),
-        cusp=modforms.cusp_normalized(dimension) if dimension != 8 else None,
+        cusp=modforms.cusp_normalized(dimension),
         with_gram=with_gram,
     )
 
@@ -178,8 +191,8 @@ def make_entry(root_string: str, dimension: int | None = None) -> LatticeEntry:
 
     Used to analyze hypothetical even unimodular lattices given their root
     shell.  The theta series is pinned by (dimension, root count); no Gram
-    matrix is attached.  The root shell is the root system, so the root count
-    is the system's own.
+    matrix is attached.  A full-rank root lattice has some index k in the
+    lattice, so its discriminant group has order k^2; any other is refused.
     """
     system = parse_root_system(root_string)
     n = dimension if dimension is not None else system.total_rank
@@ -187,6 +200,10 @@ def make_entry(root_string: str, dimension: int | None = None) -> LatticeEntry:
         raise ValueError(f"even unimodular dimension must be 8/16/24/32, got {n}")
     if system.total_rank > n:
         raise ValueError("root system rank exceeds the lattice dimension")
+    order = math.prod(c.discriminant_order for c in system.components)
+    if system.total_rank == n and math.isqrt(order) ** 2 != order:
+        raise ValueError(f"no even unimodular lattice has root system {system.name}: its "
+                         f"discriminant group has order {order}, not a square")
     name = system.name if n == system.total_rank else f"{system.name} (dim {n})"
     return _entry(name, n, system)
 

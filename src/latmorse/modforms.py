@@ -17,8 +17,8 @@ q^c + O(q^(c+1)), so there are dim M_w rows and rows 1.. span S_w.
   beyond, a_1 alone does not fix theta.
 * Cusp forms.  The forms of weight n/2 + 4 that pair with the degree-4
   harmonics of a dimension-n theta series are row 1 of that weight where
-  S_(n/2+4) is a line (n = 16, 24, 32); Delta E6, row 1 of weight 18, pairs
-  with the degree-2 harmonics in dimension 32.
+  S_(n/2+4) is a line (n = 16, 24, 32), and 0 where it is trivial (n = 8);
+  Delta E6, row 1 of weight 18, pairs with the degree-2 harmonics in n = 32.
 
 Coefficients are exact: ints in every row and theta series, Fractions in
 ``eisenstein``.  Floats appear only in the certified-bound layer, where every
@@ -213,13 +213,13 @@ def eisenstein_first_coeff(k: int) -> Fraction:
 def cusp_normalized(n: int, length: int = DEFAULT_LENGTH) -> QSeries:
     """Normalized cusp form of weight w = n/2 + 4, row 1 of that weight, where
     S_w is a line (n = 16, 24, 32), pairing with degree-4 harmonics of theta
-    series (module docstring).  Dimension 8 has no cusp form of weight 8,
-    which callers treat as an identically zero series."""
+    series (module docstring).  Where S_w = 0 (n = 8) the only such form is
+    0, the zero series of weight w."""
     w = 4 * _eighth(n) + 4
     rows = _weight_rows(w)
-    if len(rows) != 2:
+    if len(rows) > 2:
         raise ValueError(f"S_{w} is not a line, so no cusp form is stored for n={n}")
-    return QSeries(w, _monomial(*rows[1], length))
+    return QSeries(w, _monomial(*rows[1], length) if len(rows) == 2 else (0,) * length)
 
 
 def _theta_rows(n: int, root_count: int) -> tuple[list[tuple[int, int, int]], int]:

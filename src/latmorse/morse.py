@@ -288,8 +288,6 @@ def noncritical_certificate(entry: LatticeEntry, alpha: float, direction=None) -
     defect in dimension <= 24, where no even unimodular lattice has it.
     """
     modforms._check_alpha(alpha)
-    if entry.root_count == 0:
-        raise CertificateFails("no root shell: the leading gradient term is absent")
     crit = criticality(entry)
     if not crit.is_critical and entry.dimension != 32:
         raise Inapplicable(f"{entry.name}: a moment defect in dimension {entry.dimension}, "
@@ -405,17 +403,6 @@ class SpectrumReport(Frozen):
         }
 
 
-@lru_cache(maxsize=64)
-def _lambda_spectrum(entry: LatticeEntry) -> tuple[tuple[int, int], ...]:
-    """(lambda, multiplicity) rows of the root-shell quartic form Q, cached per entry."""
-    n = entry.dimension
-    if entry.root_count == 0:
-        return ((0, n * (n + 1) // 2 - 1),)
-    assert entry.root_system.total_rank == n
-    spec = symspace.closed_spectrum(entry.root_system)
-    return tuple((int(round(lam)), mult) for lam, mult in spec.entries)
-
-
 def classify(lines) -> tuple[str, int | None, float]:
     """(classification, morse_index, margin) from certified signs.
 
@@ -477,10 +464,7 @@ def _tails(entry: LatticeEntry, at: float, terms: int) -> tuple[float, float]:
     """Certified theta and cusp tails of Sa and Sb beyond m = terms (nonincreasing in it).
     Raises ToleranceUnreachable ("overflow") when a tail is not finite."""
     a_tail = 4.0 * at * at * entry.coeff_bound().series_tail(terms + 1, at, extra_exponent=2)
-    b_tail = 0.0
-    if entry.cusp is not None:
-        cusp = _cusp_bound(entry.dimension // 2 + 4)
-        b_tail = (at * at / 2.0) * cusp.series_tail(terms + 1, at)
+    b_tail = (at * at / 2.0) * _cusp_bound(entry.cusp.weight).series_tail(terms + 1, at)
     for tail, factor in ((a_tail, "4 alpha^2"), (b_tail, "alpha^2 / 2")):
         if not math.isfinite(tail):
             raise ToleranceUnreachable(f"overflow: at alpha = {at:g} the factor {factor} "
@@ -488,9 +472,12 @@ def _tails(entry: LatticeEntry, at: float, terms: int) -> tuple[float, float]:
     return a_tail, b_tail
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=5)  # the spectra's weights 8, 12, 16, 20 and the certificates' 18
 def _cusp_bound(k: int) -> modforms.CoeffBound:
-    """Coefficient bound of the normalized weight-k cusp form q + ..."""
+    """Coefficient bound of the normalized weight-k cusp form q + ..., or of the
+    zero form, with no terms and tail 0, where S_k = 0 (one row of weight k)."""
+    if len(modforms._weight_rows(k)) == 1:
+        return modforms.CoeffBound(())
     return modforms.cusp_coeff_bound(k, (1,))
 
 
@@ -526,10 +513,8 @@ def hessian_spectrum(entry: LatticeEntry, alpha: float, tol: float = 1e-10) -> S
     n = entry.dimension
     sums = _kernel(entry, fold.at, _TERMS)
     lines, widest = [], 0
-    for lam, mult in _lambda_spectrum(entry):
+    for lam, mult in entry.q_rows:
         coef = lam * n * (n + 2) - 8 * entry.root_count
-        if entry.cusp is None:
-            assert coef == 0, "dimension-8 spectrum must not touch the cusp series"
         lines.append(SpectralLine(lam, mult, *_eigenvalue(fold, n, sums, tails, coef)))
         widest = max(widest, abs(coef))
     # every part of a radius grows with |coef|: the widest line has the widest parts
@@ -579,7 +564,7 @@ def large_alpha_class(entry: LatticeEntry) -> str:
     crit = criticality(entry)
     if not crit.is_critical:
         raise NotCritical(f"{entry.name} is not critical")
-    lams = [lam for lam, _ in _lambda_spectrum(entry)]
+    lams = [lam for lam, _ in entry.q_rows]
     return CLASS_SADDLE if 0 in lams else CLASS_LOCAL_MIN
 
 

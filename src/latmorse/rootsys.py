@@ -94,6 +94,11 @@ class IrreducibleRootSystem(Frozen):
         return {6: 12, 7: 18, 8: 30}[self.rank]
 
     @property
+    def discriminant_order(self) -> int:
+        """Order of the discriminant group, weight lattice / root lattice."""
+        return {"A": self.rank + 1, "D": 4}.get(self.kind, 9 - self.rank)  # E6, E7, E8: 3, 2, 1
+
+    @property
     def count(self) -> int:
         """h * rank, as for every A/D/E system; no root is enumerated."""
         return self.coxeter_number * self.rank
@@ -140,25 +145,18 @@ def make_irreducible(kind: str, rank: int) -> IrreducibleRootSystem:
 
 
 class RootSystem(Frozen):
-    """Orthogonal direct sum of irreducible systems (possibly empty)."""
+    """Orthogonal direct sum of irreducible systems (possibly empty), with its
+    root ``count`` and the ``coxeter_number`` every component shares (None if
+    they differ or there are none) computed once, here: every request reads them."""
 
     def __init__(self, components: tuple[IrreducibleRootSystem, ...]) -> None:
-        self.__dict__.update(components=components)
+        hs = {c.coxeter_number for c in components}
+        self.__dict__.update(components=components, count=sum(c.count for c in components),
+                             coxeter_number=hs.pop() if len(hs) == 1 else None)
 
     @property
     def total_rank(self) -> int:
         return sum(c.rank for c in self.components)
-
-    @property
-    def count(self) -> int:
-        return sum(c.count for c in self.components)
-
-    @cached_property
-    def coxeter_number(self) -> int | None:
-        """The Coxeter number every component shares; None if they differ or
-        there are none."""
-        hs = {c.coxeter_number for c in self.components}
-        return hs.pop() if len(hs) == 1 else None
 
     @cached_property
     def name(self) -> str:

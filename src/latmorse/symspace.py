@@ -116,8 +116,7 @@ def closed_spectrum(system: RootSystem | IrreducibleRootSystem) -> QSpectrum:
         spec[0] = spec.get(0, 0) + cross
     if len(system.components) > 1:
         spec[4 * h] = spec.get(4 * h, 0) + len(system.components) - 1
-    entries = tuple((float(lam), mult) for lam, mult in sorted(spec.items()))
-    out = QSpectrum(space_dim=n * (n + 1) // 2 - 1, entries=entries)
+    out = QSpectrum(space_dim=n * (n + 1) // 2 - 1, entries=tuple(sorted(spec.items())))
     assert out.multiplicity_total == out.space_dim
     return out
 

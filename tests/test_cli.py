@@ -106,6 +106,24 @@ def test_invalid_rank_exits_2(system, capsys):
     assert err == f"error: no irreducible system {name}\n"
 
 
+@pytest.mark.parametrize("system", ["A32", "A7+D5^5", "A11+D7^3", "D7^2+E6^3"])
+def test_root_system_of_no_lattice_exits_2(system, capsys):
+    # a full-rank root lattice has some index k in the lattice: its discriminant
+    # group has order k^2, and these orders (33, 2^13, 768, 432) are no squares
+    code, out, err = _run(capsys, ["analyze", system, "--dim", "32"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: no even unimodular lattice has root system {system}: ")
+    assert err.endswith(", not a square\n") and err.count("\n") == 1
+
+
+def test_root_systems_with_square_discriminants_pass(capsys):
+    code, out, _ = _run(capsys, ["analyze", "A16^2", "--dim", "32"])
+    assert code == 0
+    assert "classification: Saddle (Morse index 494)" in out
+    # 2^8 4^8 = (2^12)^2
+    assert morse.criticality(latcat.make_entry("A1^8+A3^8")).kind == "moment_defect"
+
+
 def test_tolerance_unreachable_exits_1(capsys):
     code, out, err = _run(capsys, ["analyze", "D24", "--tol", "1e-13"])
     assert code == 1

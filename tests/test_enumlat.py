@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,16 @@ def test_hessian_direct_guards():
     # traceless, not symmetric: |Hx|^2 is H^2[x] only for a symmetric H
     with pytest.raises(ValueError, match="direction must be symmetric"):
         enumlat.hessian_direct(SCALED_Z2, 1.0, [[0.0, 1.0], [0.0, 0.0]], 2)
+
+
+@pytest.mark.parametrize("alpha", [1e308, 1e300, 400.0])
+def test_hessian_direct_with_underflowed_weights_is_zero(alpha):
+    # e^(-2 alpha) = 0.0 zeroes every shell weight; alpha H[x]^2 may overflow, and 0.0 * inf is NaN
+    entry = latcat.get("E8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = enumlat.hessian_direct(entry.gram, alpha, np.diag([1.0] * 4 + [-1.0] * 4), 1)
+    assert value == 0.0
 
 
 def test_odd_gram_rejected_before_walk():

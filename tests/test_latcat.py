@@ -126,8 +126,9 @@ def test_catalog_matches_fraction_construction():
         theta, cusp = _fraction_forms(entry.dimension, entry.root_count)
         assert entry.theta.weight == theta.weight
         assert entry.theta.coeffs == theta.coeffs, entry.name
-        if cusp is None:
-            assert entry.cusp is None
+        if cusp is None:  # S_8 = 0: E8's cusp is the zero row of weight 8
+            assert entry.cusp.weight == 8
+            assert entry.cusp.coeffs == (0,) * modforms.DEFAULT_LENGTH
         else:
             assert entry.cusp.weight == cusp.weight
             assert entry.cusp.coeffs == cusp.coeffs, entry.name
@@ -135,6 +136,22 @@ def test_catalog_matches_fraction_construction():
         theta, cusp = _fraction_forms(entry.dimension, entry.root_count, 129)
         assert list(a) == theta.floats()
         assert list(b) == (cusp.floats() if cusp else [0.0] * 129)
+
+
+def test_catalog_build_computes_root_counts_and_coxeter_numbers():
+    # every request reads them: a freshly built catalog, no request served yet, holds them
+    for entry in latcat._catalog.__wrapped__():
+        assert {"count", "coxeter_number"} <= vars(entry.root_system).keys(), entry.name
+
+
+def test_q_rows_are_integers_for_no_roots_or_roots_of_full_rank():
+    assert latcat.get("Leech").q_rows == ((0, 299),)
+    assert latcat.get("D16+").q_rows == ((8, 120), (56, 15))
+    assert all(type(lam) is int for e in (latcat.get("E8^2"), latcat.get("A24"))
+               for lam, _ in e.q_rows)
+    # E8 padded to 32 dimensions has a moment defect: no closed rows, and no assert to strip
+    with pytest.raises(ValueError, match="spanning all 32 dimensions"):
+        latcat.make_entry("E8", 32).q_rows
 
 
 def test_catalog_build_uses_no_qseries_products(monkeypatch):

@@ -140,8 +140,11 @@ def test_cusp_normalized():
     assert mf.cusp_normalized(16).coeffs == mf.discriminant().coeffs
     assert [int(c) for c in mf.cusp_normalized(24).coeffs[:7]] == CUSP24_ROW
     assert [int(c) for c in mf.cusp_normalized(32).coeffs[:6]] == CUSP32_ROW
-    with pytest.raises(ValueError, match="S_8 is not a line"):
-        mf.cusp_normalized(8)
+    # S_8 = 0: the only form of weight 8 pairing with degree-4 harmonics is 0
+    zero = mf.cusp_normalized(8, 10)
+    assert (zero.weight, zero.coeffs) == (8, (0,) * 10)
+    with pytest.raises(ValueError, match="S_24 is not a line"):
+        mf.cusp_normalized(40)
 
 
 def test_theta_dimension_eight_square():

@@ -173,8 +173,7 @@ def test_tolerance_unreachable():
 def _widest_tail_part(entry, alpha, terms):
     # the tail part of the widest direct error radius after `terms` terms
     n = entry.dimension
-    widest = max(abs(lam * n * (n + 2) - 8 * entry.root_count)
-                 for lam, _ in morse._lambda_spectrum(entry))
+    widest = max(abs(lam * n * (n + 2) - 8 * entry.root_count) for lam, _ in entry.q_rows)
     a_tail, b_tail = morse._tails(entry, alpha, terms)
     return (a_tail + widest * b_tail) / (n * (n + 2))
 
@@ -215,8 +214,7 @@ def test_sixteen_terms_leave_only_roundoff(entry):
     # at, the certified tail part of the widest radius after 16 terms is far
     # below its roundoff part, which more terms only grow
     n = entry.dimension
-    widest = max(abs(lam * n * (n + 2) - 8 * entry.root_count)
-                 for lam, _ in morse._lambda_spectrum(entry))
+    widest = max(abs(lam * n * (n + 2) - 8 * entry.root_count) for lam, _ in entry.q_rows)
     for alpha in np.geomspace(math.pi, 100.0, 200):
         sums = morse._kernel(entry, alpha, morse._TERMS)
         fold = morse._direct_side(alpha)
@@ -336,6 +334,23 @@ def test_entry_only_work_done_once_per_entry(monkeypatch):
     assert morse.criticality(entry) is morse.criticality(entry)
 
 
+def test_dimension_eight_lines_never_read_the_cusp_row():
+    # S_8 = 0: every E8 line has lambda n(n+2) - 8 a_1 = 0, and the zero row's tail is 0.0
+    e8 = latcat.get("E8")
+    assert all(lam * 8 * 10 == 8 * e8.root_count for lam, _ in e8.q_rows)
+    assert morse._tails(e8, math.pi, 16)[1] == 0.0
+
+
+def test_cusp_bounds_stay_cached_over_a_mixed_stream():
+    # five weights: 8, 12, 16 and 20 of the spectra and 18 of the certificates
+    morse._cusp_bound.cache_clear()
+    for _ in range(2):
+        for name in ("E8", "D16+", "D24", "Rootless32"):
+            morse.hessian_spectrum(latcat.get(name), math.pi)
+        morse.noncritical_certificate(latcat.get("A1^8+A3^8"), 14.0)
+    assert morse._cusp_bound.cache_info().misses == 5
+
+
 def test_certificate_failure_modes():
     defective = latcat.get("A1^8+A3^8")
     with pytest.raises(morse.CertificateFails):
@@ -392,7 +407,7 @@ def _lines_summed_at(entry, fold, terms):
     tails = morse._tails(entry, fold.at, terms)
     return [morse.SpectralLine(lam, mult, *morse._eigenvalue(
                 fold, n, sums, tails, lam * n * (n + 2) - 8 * entry.root_count))
-            for lam, mult in morse._lambda_spectrum(entry)]
+            for lam, mult in entry.q_rows]
 
 
 def test_fold_overlaps_direct_kernel():
@@ -497,16 +512,15 @@ def _exact_series(entry, alpha, length):
     """(Sa, Sb) at alpha from exact coefficients in mpmath, summed far past their tails."""
     n = entry.dimension
     theta = modforms.theta_even_unimodular(n, entry.root_count, length)
-    cusp = modforms.cusp_normalized(n, length) if n != 8 else None
+    cusp = modforms.cusp_normalized(n, length)
     al = mpmath.mpf(alpha)
     sa = sb = mpmath.mpf(0)
     for m in range(1, length):
         x = 2 * al * m
         a = theta.coeffs[m]
         sa += mpmath.mpf(a.numerator) / a.denominator * x * (x - (n / 2 + 1)) * mpmath.exp(-x)
-        if cusp is not None:
-            b = cusp.coeffs[m]
-            sb += mpmath.mpf(b.numerator) / b.denominator * al**2 / 2 * mpmath.exp(-x)
+        b = cusp.coeffs[m]
+        sb += mpmath.mpf(b.numerator) / b.denominator * al**2 / 2 * mpmath.exp(-x)
     return sa, sb
 
 

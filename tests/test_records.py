@@ -82,8 +82,8 @@ def _identity_records():
     cert = morse.noncritical_certificate(latcat.get("A1^8+A3^8"), 14.0)
     a2 = rootsys.make_irreducible("A", 2)
     fields = {
-        latcat.LatticeEntry: ("name", "dimension", "root_system", "root_count",
-                              "coxeter_number", "theta", "cusp", "with_gram"),
+        latcat.LatticeEntry: ("name", "dimension", "root_system", "theta", "cusp",
+                              "with_gram"),
         modforms.QSeries: ("weight", "coeffs"),
         morse.CriticalityResult: ("kind", "target", "blocks", "defects", "reason"),
         morse.Certificate: ("lattice", "alpha", "root_term", "remainder", "constants"),
@@ -117,7 +117,7 @@ def test_identity_records():
 
 def test_identity_record_defaults_and_cached_properties():
     e8 = latcat.get("E8")
-    plain = latcat.LatticeEntry("E8", 8, e8.root_system, 240, 30, e8.theta, None)
+    plain = latcat.LatticeEntry("E8", 8, e8.root_system, e8.theta, e8.cusp)
     assert plain.with_gram is False and plain.basis is None and plain.gram is None
     assert e8.with_gram is True and e8.gram is e8.gram and e8.gram[0, 0] == 4
     report = morse.SpectrumReport("E8", 5.0, 16, (), "LocalMin", 0, 1.0)
@@ -128,9 +128,19 @@ def test_identity_record_defaults_and_cached_properties():
     assert repr(rootsys.make_irreducible("E", 8)) == "IrreducibleRootSystem(E8, 240 roots)"
 
 
+def test_entry_reads_root_data_off_its_root_system():
+    # the root count and Coxeter number have one owner: an entry cannot contradict it
+    d24 = latcat.get("D24")
+    entry = latcat.LatticeEntry("D24", 24, d24.root_system, d24.theta, d24.cusp)
+    assert (entry.root_count, entry.coxeter_number) == (1104, 46)
+    assert morse.criticality(entry).is_critical
+    with pytest.raises(AttributeError):
+        entry.root_count = 1000
+
+
 def test_criticality_cache_keys_on_identity():
     entry = latcat.get("A1^8+A3^8")
     twin = latcat.LatticeEntry(*(getattr(entry, name) for name in (
-        "name", "dimension", "root_system", "root_count", "coxeter_number", "theta", "cusp")))
+        "name", "dimension", "root_system", "theta", "cusp")))
     assert morse.criticality(entry) is morse.criticality(entry)
     assert morse.criticality(twin) is not morse.criticality(entry)
